@@ -50,14 +50,17 @@ def _cmd_qvolume(args):
     rules = ["q-grassmannian-subset-sum-closed-form"]
     params = {"r": args.r, "n": args.n}
     result = {"c": str(c), "volume": vol.to_payload()}
+    agrees = True
     if args.brute:
         vectors = qlocal.seeded_param_vectors(args.n, args.samples, args.seed)
         report = qlocal.c_bruteforce(args.r, args.n, vectors)
+        agrees = report.consensus == c
         result["brute_force_consensus"] = str(report.consensus)
-        result["brute_force_agrees_with_closed_form"] = report.consensus == c
+        result["brute_force_agrees_with_closed_form"] = agrees
         rules.append("localization-subset-sum-bruteforce")
     _emit(args, "qvolume", params, result, rules,
           f"C({args.r},{args.n}) = {c}; volume = {vol.render()}")
+    return 0 if agrees else 1
 
 
 def _cmd_sdim(args):
@@ -101,6 +104,7 @@ def _cmd_c_table(args):
         rows.append({"n": n, "values": values})
         lines.append(f"n={n:2d}: " + " ".join(str(v) for v in values))
     rules = ["q-grassmannian-subset-sum-closed-form"]
+    agrees = True
     if args.brute:
         table = qlocal.brute_c_table(min(args.nmax, 12), args.seed, args.samples)
         agrees = all(
@@ -111,6 +115,7 @@ def _cmd_c_table(args):
         lines.append(f"brute force agrees: {agrees}")
         rules.append("localization-subset-sum-bruteforce")
     _emit(args, "c-table", {"nmax": args.nmax}, rows, rules, "\n".join(lines))
+    return 0 if agrees else 1
 
 
 def _cmd_localize(args):
@@ -120,11 +125,12 @@ def _cmd_localize(args):
     agrees = all(s == expected for s in sums)
     _emit(args, "localize",
           {"r": args.r, "n": args.n, "samples": args.samples, "seed": args.seed},
-          {"sum": str(sums[0]) if sums else str(expected),
+          {"sum": str(sums[0]),
            "fixed_points": expected, "all_samples_agree": agrees},
           ["equal-rank-fixed-point-count"],
           f"localization sum = {expected} over {math.comb(args.n, args.r)} fixed points "
           f"({args.samples} parameter samples agree: {agrees})")
+    return 0 if agrees else 1
 
 
 def _cmd_splitting(args):
@@ -205,6 +211,17 @@ def _cmd_verify(args):
     return 0 if passed == len(results) else 1
 
 
+def _int_at_least(low: int):
+    """An argparse ``type`` that rejects integers below ``low`` (exit 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="supervol",
@@ -228,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--brute", action="store_true",
                    help="also run the brute-force subset sum")
-    p.add_argument("--samples", type=int, default=3)
+    p.add_argument("--samples", type=_int_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("sdim", _cmd_sdim, "superdimension of Gr(r|s, m|n)")
@@ -247,13 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("c-table", _cmd_c_table, "closed-form localization constants C(r, n)")
     p.add_argument("nmax", type=int)
     p.add_argument("--brute", action="store_true")
-    p.add_argument("--samples", type=int, default=3)
+    p.add_argument("--samples", type=_int_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("localize", _cmd_localize, "equal-rank localization fixed-point sum")
     p.add_argument("r", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--samples", type=int, default=3)
+    p.add_argument("--samples", type=_int_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("splitting", _cmd_splitting, "Levi splitting predicate")
@@ -275,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, "run every identity sweep")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--max-n", type=int, default=6,
+    p.add_argument("--max-n", type=_int_at_least(0), default=6,
                    help="exhaustive bound for grassmannian sweeps")
-    p.add_argument("--max-n-c", type=int, default=12,
+    p.add_argument("--max-n-c", type=_int_at_least(0), default=12,
                    help="brute-force bound for the subset-sum sweeps")
 
     return parser

@@ -12,19 +12,26 @@ of the parameters and integer-valued; it has the closed form binom(m, l)
 for (n, r) = (2m, 2l), (2m+1, 2l+1), (2m+1, 2l) and vanishes for
 (n, r) = (2m, 2l+1) -- equivalently, it is nonzero iff r(n-r) is even.
 
-For the equal-rank grassmannian of (r|r)-planes in C^(n|n) the per-point
-contribution is identically 1 and the sum just counts the binom(n, r)
-fixed points.
+For the equal-rank grassmannian of (r|r)-planes in C^(n|n) the odd
+weights a_i + a_j become a_i - a_j, so every contribution is 1 and the
+sum counts the binom(n, r) fixed points.
+
+Both sums share one kernel.  Every factor has degree zero in a, so the
+parameters are first scaled to integers by the lcm of their denominators;
+each fixed point then contributes one integer numerator over one integer
+denominator.  Both sums enumerate all binom(n, r) subsets and are bounded
+at n <= 14.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exactnum import as_fraction
 
@@ -61,14 +68,34 @@ def seeded_param_vectors(n: int, count: int, seed: int) -> list[Params]:
     return [random_params(n, rng) for _ in range(count)]
 
 
-def _ratio_table(a: Params) -> list[list[Fraction]]:
-    n = len(a)
-    table = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                table[i][j] = (a[i] + a[j]) / (a[i] - a[j])
-    return table
+def _fixed_point_terms(
+    subsets: Iterable[Iterable[int]], a: Params, odd_weight: Callable[[int, int], int]
+) -> Iterable[tuple[int, int]]:
+    """Yield (prod odd_weight(a_i, a_j), prod (a_i - a_j)) over i in S,
+    j not in S, for each subset S, on a scaled to integers."""
+    scale = math.lcm(*(x.denominator for x in a))
+    b = [int(x * scale) for x in a]
+    for subset in subsets:
+        inside = set(subset)
+        outside = [b[j] for j in range(len(b)) if j not in inside]
+        num = den = 1
+        for i in inside:
+            for y in outside:
+                num *= odd_weight(b[i], y)
+                den *= b[i] - y
+        yield num, den
+
+
+def _subset_sum(r: int, n: int, a: Params, odd_weight: Callable[[int, int], int]) -> Fraction:
+    """Sum of the fixed-point terms over all r-subsets of {0..n-1}."""
+    if not 0 <= r <= n:
+        raise ValueError("require 0 <= r <= n")
+    if n > 14:
+        raise ValueError("subset sums bounded at n <= 14")
+    if len(a) != n:
+        raise ValueError("parameter vector has wrong length")
+    terms = _fixed_point_terms(itertools.combinations(range(n), r), a, odd_weight)
+    return sum((Fraction(num, den) for num, den in terms), Fraction(0))
 
 
 def alpha_subset(subset: Iterable[int], a: Sequence) -> Fraction:
@@ -77,12 +104,8 @@ def alpha_subset(subset: Iterable[int], a: Sequence) -> Fraction:
     s = set(subset)
     if not s <= set(range(len(vals))):
         raise ValueError("subset out of range")
-    out = Fraction(1)
-    for i in s:
-        for j in range(len(vals)):
-            if j not in s:
-                out *= (vals[i] + vals[j]) / (vals[i] - vals[j])
-    return out
+    [(num, den)] = _fixed_point_terms([s], vals, operator.add)
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -101,30 +124,13 @@ def c_bruteforce(r: int, n: int, samples: Sequence[Sequence]) -> LocalizationRep
 
     The sum must not depend on the parameters; disagreement across
     samples raises (it never fires -- that independence is the primary
-    property under test).  Enumeration is 2^n-bounded, so n <= 14.
+    property under test).  At least one sample is required, and n <= 14.
     """
-    if not 0 <= r <= n:
-        raise ValueError("require 0 <= r <= n")
-    if n > 14:
-        raise ValueError("brute force bounded at n <= 14")
-    results = []
-    for raw in samples:
-        a = validate_params(raw)
-        if len(a) != n:
-            raise ValueError("parameter vector has wrong length")
-        ratios = _ratio_table(a)
-        total = Fraction(0)
-        for subset in itertools.combinations(range(n), r):
-            inside = set(subset)
-            term = Fraction(1)
-            for i in subset:
-                row = ratios[i]
-                for j in range(n):
-                    if j not in inside:
-                        term *= row[j]
-            total += term
-        results.append((a, total))
-    consensus = results[0][1] if results else Fraction(0)
+    results = [(a, _subset_sum(r, n, a, operator.add))
+               for a in map(validate_params, samples)]
+    if not results:
+        raise ValueError("at least one parameter sample is required")
+    consensus = results[0][1]
     agrees = all(total == consensus for _, total in results)
     if not agrees:
         raise ValueError("parameter dependence detected")
@@ -182,26 +188,8 @@ def check_recursions_on_table(table: dict[tuple[int, int], Fraction], nmax: int)
 def gl_localization(r: int, n: int, a: Sequence) -> Fraction:
     """Localization count for the equal-rank grassmannian.
 
-    Every fixed point is an r-subset whose contribution is the telescoping
-    two-factor product (checked to be 1 en route); the sum is binom(n, r)
-    independently of the parameters.
+    Every fixed point is an r-subset whose contribution is
+    prod (a_i - a_j) / (a_i - a_j) over i in S, j not in S; the sum is
+    binom(n, r) independently of the parameters.  Bounded at n <= 14.
     """
-    if not 0 <= r <= n:
-        raise ValueError("require 0 <= r <= n")
-    vals = validate_params(a)
-    if len(vals) != n:
-        raise ValueError("parameter vector has wrong length")
-    total = Fraction(0)
-    for subset in itertools.combinations(range(n), r):
-        inside = set(subset)
-        contrib = Fraction(1)
-        for i in subset:
-            for j in range(n):
-                if j not in inside:
-                    contrib *= ((vals[i] + vals[j]) / (vals[i] - vals[j])
-                                * (vals[i] - vals[j]) / (vals[i] + vals[j]))
-        if contrib != 1:
-            raise ValueError("fixed-point contribution is not 1")
-        total += contrib
-    assert total == math.comb(n, r)
-    return total
+    return _subset_sum(r, n, validate_params(a), operator.sub)

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import grassvol
+
 RULE_LEVI_GL = "LEVI_GL"
 RULE_LEVI_Q = "LEVI_Q"
 RULE_ODD_PARTS_EQUAL = "ODD_PARTS_EQUAL"
@@ -121,16 +123,10 @@ class SplittingCheck(NamedTuple):
     evidence: int
 
 
-def grass_sdim(r: int, s: int, m: int, n: int) -> int:
-    return (r - s) * ((m - r) - (n - s))
-
-
 def is_splitting_levi_gl(r: int, s: int, m: int, n: int) -> SplittingCheck:
     """Levi criterion for GL: splitting iff the grassmannian superdimension
     (r-s)((m-r)-(n-s)) is nonnegative; the sdim is returned as evidence."""
-    if not (0 <= r <= m and 0 <= s <= n):
-        raise ValueError("require 0 <= r <= m and 0 <= s <= n")
-    value = grass_sdim(r, s, m, n)
+    value = grassvol.sdim(grassvol.GrassSpec(r, s, m, n))
     return SplittingCheck(value >= 0, value)
 
 
@@ -324,14 +320,3 @@ def minimal_chain(group: GroupDesc) -> SubgroupChain:
         return SubgroupChain(group, ())
     raise ValueError(f"unsupported family for chain construction: {group.label()}")
 
-
-# Defect-one families whose minimal splitting subgroup SL(1|1) is certified
-# through the symmetric-pair positivity route (see the sympair module), not
-# by a Levi chain.  Recorded as data for reference.
-DEFECT_ONE_MINIMAL_SPLITTING = (
-    ("osp(2m+1|2n), min(m,n)=1", "SL(1|1)", "rank-one positivity route"),
-    ("osp(2m|2n), min(m,n)=1", "SL(1|1)", "rank-one positivity route"),
-    ("d21a(alpha)", "SL(1|1)", "principal-block weight test"),
-    ("g3", "SL(1|1)", "restricted G2 positivity route"),
-    ("f4", "SL(1|1)", "restricted rank-3 positivity route"),
-)

@@ -175,22 +175,23 @@ def check_two_pi_power(max_mn: int = 6) -> CheckResult:
                        f"exhaustive m,n <= {max_mn}; failures: {bad}")
 
 
-def check_c_table(max_n: int = 12, seed: int = 0, samples: int = 3) -> CheckResult:
-    bad = []
-    for n in range(max_n + 1):
-        vectors = qlocal.seeded_param_vectors(n, samples, seed + n)
-        for r in range(n + 1):
-            report = qlocal.c_bruteforce(r, n, vectors)
-            if not report.agrees or report.consensus != qlocal.c_closed(r, n):
-                bad.append((r, n))
+def check_c_table(table: dict[tuple[int, int], Fraction], max_n: int = 12,
+                  samples: int = 3) -> CheckResult:
+    """``table`` is ``qlocal.brute_c_table(max_n, seed, samples)``."""
+    bad = [
+        (r, n)
+        for n in range(max_n + 1)
+        for r in range(n + 1)
+        if table[(r, n)] != qlocal.c_closed(r, n)
+    ]
     return CheckResult("c-table-bruteforce-matches-closed-form", not bad,
                        f"all 0 <= r <= n <= {max_n}, {samples} samples each; "
                        f"failures: {bad if bad else 'none'}")
 
 
-def check_c_recursions(max_n: int = 20, brute_max_n: int = 12, seed: int = 0) -> CheckResult:
+def check_c_recursions(table: dict[tuple[int, int], Fraction], max_n: int = 20,
+                       brute_max_n: int = 12) -> CheckResult:
     ok_closed = qlocal.check_recursions(max_n)
-    table = qlocal.brute_c_table(brute_max_n, seed)
     ok_brute = qlocal.check_recursions_on_table(table, brute_max_n)
     return CheckResult("c-recursions-and-symmetry", ok_closed and ok_brute,
                        f"closed form to n = {max_n}, brute force to n = {brute_max_n}")
@@ -322,10 +323,10 @@ def check_sdim_necessity(max_mn: int = 6) -> CheckResult:
     bad = 0
     for m, n in itertools.product(range(max_mn + 1), repeat=2):
         for r, s in itertools.product(range(m + 1), range(n + 1)):
-            g_dims = (m * m + n * n, 2 * m * n)
-            k_dims = (r * r + s * s + (m - r) ** 2 + (n - s) ** 2,
-                      2 * r * s + 2 * (m - r) * (n - s))
-            necessity = splitting.sdim_necessity(g_dims, k_dims)
+            g = splitting.GL(m, n)
+            k = splitting.GL(r, s) * splitting.GL(m - r, n - s)
+            necessity = splitting.sdim_necessity((g.even_dim, g.odd_dim),
+                                                 (k.even_dim, k.odd_dim))
             if necessity != (grassvol.sdim(GrassSpec(r, s, m, n)) >= 0):
                 bad += 1
     return CheckResult("sdim-necessity-reproduces-grassmannian-sdim", bad == 0,
@@ -334,6 +335,7 @@ def check_sdim_necessity(max_mn: int = 6) -> CheckResult:
 
 def run_all(seed: int = 0, max_n_grass: int = 6, max_n_c: int = 12) -> list[CheckResult]:
     """Every named sweep, with exhaustive bounds adjustable for runtime."""
+    c_table = qlocal.brute_c_table(max_n_c, seed)
     return [
         check_pfaffian_square(seed),
         check_pfaffian_congruence(seed + 1),
@@ -345,8 +347,8 @@ def run_all(seed: int = 0, max_n_grass: int = 6, max_n_c: int = 12) -> list[Chec
         check_cross_formula(max_n_grass),
         check_flag_identity(8),
         check_two_pi_power(max_n_grass),
-        check_c_table(max_n_c, seed),
-        check_c_recursions(20, max_n_c, seed),
+        check_c_table(c_table, max_n_c),
+        check_c_recursions(c_table, 20, max_n_c),
         check_c_vanishing(20),
         check_gl_localization(10, seed),
         check_casimir_positivity(),

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import jsonschema
 import pytest
 
-from supervol import cli
+from supervol import cli, qlocal
 from supervol.grassvol import VolumeExpr
 from supervol.schema import ENVELOPE_SCHEMA, VOLUME_EXPR_SCHEMA
 
@@ -128,6 +129,43 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["volume", "1", "1", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["c-table", "3", "--brute", "--samples", "0"],
+    ["qvolume", "2", "4", "--brute", "--samples", "0"],
+    ["localize", "2", "4", "--samples", "0"],
+    ["verify", "--max-n", "-1"],
+    ["verify", "--max-n-c", "-1"],
+], ids=" ".join)
+def test_empty_sample_or_sweep_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_localize_is_bounded(capsys):
+    code, _, err = run_cli(capsys, "localize", "7", "15")
+    assert code == 1 and "bounded at n <= 14" in err
+
+
+def test_disagreement_exits_one(capsys, monkeypatch):
+    real = qlocal.c_bruteforce
+
+    def off_by_one(r, n, samples):
+        report = real(r, n, samples)
+        return dataclasses.replace(report, consensus=report.consensus + 1)
+
+    monkeypatch.setattr(qlocal, "c_bruteforce", off_by_one)
+    code, out, _ = run_cli(capsys, "c-table", "3", "--brute")
+    assert code == 1 and "brute force agrees: False" in out
+    code, out, _ = run_cli(capsys, "qvolume", "2", "4", "--brute", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["result"]["brute_force_agrees_with_closed_form"] is False
+    monkeypatch.setattr(qlocal, "gl_localization", lambda r, n, a: 0)
+    code, out, _ = run_cli(capsys, "localize", "2", "4", "--format", "json")
+    assert code == 1 and json.loads(out)["result"]["all_samples_agree"] is False
 
 
 def test_verify_json_lines_deterministic(capsys):

@@ -1,8 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from supervol import exactnum
 from supervol.qlocal import (
     alpha_subset,
     brute_c_table,
@@ -15,6 +17,10 @@ from supervol.qlocal import (
     seeded_param_vectors,
     validate_params,
 )
+
+# Distinct denominators, so the subset sums must scale by their lcm.
+FRACTIONAL_PARAMS = tuple(Fraction(p, q) for p, q in (
+    (1, 2), (-2, 3), (5, 4), (7, 6), (-3, 5), (11, 7), (-13, 9), (17, 10)))
 
 
 def test_validate_params_rejects_degenerate():
@@ -41,6 +47,22 @@ def test_alpha_subset_examples():
         alpha_subset({5}, [1, 2])
 
 
+def test_alpha_subset_matches_pfaffian_route():
+    vectors = [seeded_param_vectors(n, 1, 300 + n)[0] for n in range(5)]
+    vectors += [FRACTIONAL_PARAMS[:n] for n in range(5)]
+    for a in vectors:
+        n = len(a)
+        for r in range(n + 1):
+            for subset in itertools.combinations(range(n), r):
+                pairs = [(a[i], a[j]) for i in subset for j in range(n) if j not in subset]
+                odd = [x + y for x, y in pairs]
+                even = [x - y for x, y in pairs]
+                q01, q10 = exactnum.realified_diagonal_action(odd, even)
+                value = alpha_subset(subset, a)
+                assert value == exactnum.alpha_diagonal(odd, even)
+                assert value == exactnum.alpha_pfaffian(q01, q10)
+
+
 def test_c_bruteforce_examples():
     vectors = seeded_param_vectors(2, 3, 1)
     assert c_bruteforce(1, 2, vectors).consensus == 0
@@ -57,6 +79,8 @@ def test_c_bruteforce_examples():
 def test_c_bruteforce_bounds():
     with pytest.raises(ValueError):
         c_bruteforce(3, 2, [])
+    with pytest.raises(ValueError, match="at least one"):
+        c_bruteforce(1, 2, [])
     with pytest.raises(ValueError, match="bounded"):
         c_bruteforce(1, 15, [tuple(range(1, 16))])
 
@@ -85,6 +109,7 @@ def test_c_closed_case_split():
 def test_brute_force_matches_closed_form():
     for n in range(9):
         vectors = seeded_param_vectors(n, 3, 100 + n)
+        vectors += [FRACTIONAL_PARAMS[:n], tuple(x / 6 for x in vectors[0])]
         for r in range(n + 1):
             assert c_bruteforce(r, n, vectors).consensus == c_closed(r, n)
 
@@ -111,6 +136,8 @@ def test_gl_localization_examples():
         assert gl_localization(0, n, seeded_param_vectors(n, 1, 3)[0]) == 1
     for a in seeded_param_vectors(4, 3, 9):
         assert gl_localization(2, 4, a) == 6
+    with pytest.raises(ValueError, match="bounded"):
+        gl_localization(7, 15, range(1, 16))
 
 
 def test_gl_localization_matches_binomials():
