@@ -34,7 +34,8 @@ def main():
     print("zeros exactly where r(n-r) is odd")
 
     print("\n== recursions hold ==")
-    print(f"closed form satisfies both recursions to n = 20: {check_recursions(20)}")
+    holds = check_recursions(c_closed, 20)
+    print(f"closed form satisfies both recursions to n = 20: {holds}")
 
     print("\n== equal-rank localization just counts fixed points ==")
     for (r, n) in ((1, 2), (2, 4), (3, 6)):

@@ -106,11 +106,9 @@ def _cmd_c_table(args):
     rules = ["q-grassmannian-subset-sum-closed-form"]
     agrees = True
     if args.brute:
-        table = qlocal.brute_c_table(min(args.nmax, 12), args.seed, args.samples)
-        agrees = all(
-            table[(r, n)] == qlocal.c_closed(r, n)
-            for n in range(min(args.nmax, 12) + 1) for r in range(n + 1)
-        )
+        brute_max = min(args.nmax, 12)
+        table = qlocal.brute_c_table(brute_max, args.seed, args.samples)
+        agrees = verify.check_c_table(table, brute_max, args.samples).passed
         rows.append({"brute_force_agrees": agrees})
         lines.append(f"brute force agrees: {agrees}")
         rules.append("localization-subset-sum-bruteforce")
@@ -128,7 +126,7 @@ def _cmd_localize(args):
           {"sum": str(sums[0]),
            "fixed_points": expected, "all_samples_agree": agrees},
           ["equal-rank-fixed-point-count"],
-          f"localization sum = {expected} over {math.comb(args.n, args.r)} fixed points "
+          f"localization sum = {sums[0]} over {expected} fixed points "
           f"({args.samples} parameter samples agree: {agrees})")
     return 0 if agrees else 1
 
@@ -150,16 +148,8 @@ def _cmd_splitting(args):
 
 
 def _cmd_chain(args):
-    if args.family.upper() == "GL":
-        if len(args.params) != 2:
-            raise ValueError("chain GL requires m and n")
-        group = splitting.GL(args.params[0], args.params[1])
-    elif args.family.upper() == "Q":
-        if len(args.params) != 1:
-            raise ValueError("chain Q requires n")
-        group = splitting.Q(args.params[0])
-    else:
-        raise ValueError(f"unsupported family {args.family!r}")
+    family = splitting.GL if args.family == "GL" else splitting.Q
+    group = family(*args.params)
     chain = splitting.minimal_chain(group)
     if not chain.validate():
         raise ValueError("constructed chain failed validation")
@@ -169,7 +159,7 @@ def _cmd_chain(args):
     for step in chain.steps:
         lines.append(f"  {step.sub.label()} ⊂ {step.sup.label()}"
                      f"  [{step.rule}: {step.evidence}]")
-    _emit(args, "chain", {"family": args.family.upper(),
+    _emit(args, "chain", {"family": args.family,
                           "params": list(args.params)},
           payload, ["certified-inclusion-chain"], "\n".join(lines))
 
@@ -259,10 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("defect", _cmd_defect, "defect of a root system family")
     p.add_argument("family", choices=("gl", "sl", "osp", "d21a", "g3", "f4"))
     p.add_argument("params", nargs="*",
-                   help="family parameters, e.g. 'gl 2 3' or 'd21a 1/2'")
+                   help="family parameters, e.g. 'gl 2 3' or 'd21a 1/2'; "
+                        "negative values go after '--', e.g. 'd21a -- -1/2'")
 
     p = add("c-table", _cmd_c_table, "closed-form localization constants C(r, n)")
-    p.add_argument("nmax", type=int)
+    p.add_argument("nmax", type=_int_at_least(0))
     p.add_argument("--brute", action="store_true")
     p.add_argument("--samples", type=_int_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -281,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int, nargs="?")
 
     p = add("chain", _cmd_chain, "certified minimal splitting chain")
-    p.add_argument("family", help="GL or Q")
+    p.add_argument("family", type=str.upper, choices=("GL", "Q"))
     p.add_argument("params", type=int, nargs="+")
 
     p = add("casimir", _cmd_casimir, "Casimir eigenvalue for a built-in pair")
@@ -300,23 +291,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _normalize_splitting_args(args):
+def _normalize_args(parser, args):
+    """Resolve the positional arguments that argparse cannot; a wrong count
+    is a usage error (exit 2)."""
     if args.verb == "splitting":
         if args.kind == "gl":
             if args.m is None or args.n is None:
-                raise ValueError("splitting gl requires r s m n")
+                parser.error("splitting gl requires r s m n")
             args.s = args.s_or_n
         else:
             if args.m is not None or args.n is not None:
-                raise ValueError("splitting q requires r n only")
+                parser.error("splitting q requires r n only")
             args.n = args.s_or_n
+    elif args.verb == "chain":
+        if args.family == "GL" and len(args.params) != 2:
+            parser.error("chain GL requires m and n")
+        if args.family == "Q" and len(args.params) != 1:
+            parser.error("chain Q requires n")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _normalize_args(parser, args)
     try:
-        _normalize_splitting_args(args)
         outcome = args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

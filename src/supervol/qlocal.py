@@ -147,7 +147,18 @@ def c_closed(r: int, n: int) -> int:
     return math.comb(n // 2, r // 2)
 
 
-def _recursions_hold(value, nmax: int) -> bool:
+def check_recursions(value: Callable[[int, int], int | Fraction], nmax: int) -> bool:
+    """Both recursions on the values ``value(r, n)``, for all
+    1 <= r <= n <= nmax:
+
+    C(r,n) = C(r,n-1) + (-1)^(n-r) C(r-1,n-1)  and
+    C(r,n) = (-1)^(r(n-r)) C(n-r,n).
+
+    Pass ``c_closed`` for the closed form, or
+    ``lambda r, n: table[(r, n)]`` for a precomputed table.
+    """
+    if nmax < 1:
+        raise ValueError("nmax must be at least 1")
     for n in range(1, nmax + 1):
         for r in range(1, n + 1):
             step = value(r, n - 1) if r <= n - 1 else 0
@@ -159,17 +170,6 @@ def _recursions_hold(value, nmax: int) -> bool:
     return True
 
 
-def check_recursions(nmax: int) -> bool:
-    """Both recursions on the closed form, for all 1 <= r <= n <= nmax:
-
-    C(r,n) = C(r,n-1) + (-1)^(n-r) C(r-1,n-1)  and
-    C(r,n) = (-1)^(r(n-r)) C(n-r,n).
-    """
-    if nmax < 2:
-        raise ValueError("nmax must be at least 2")
-    return _recursions_hold(lambda r, n: Fraction(c_closed(r, n)), nmax)
-
-
 def brute_c_table(nmax: int, seed: int, count: int = 3) -> dict[tuple[int, int], Fraction]:
     """Consensus brute-force table for all 0 <= r <= n <= nmax."""
     table = {}
@@ -178,11 +178,6 @@ def brute_c_table(nmax: int, seed: int, count: int = 3) -> dict[tuple[int, int],
         for r in range(n + 1):
             table[(r, n)] = c_bruteforce(r, n, samples).consensus
     return table
-
-
-def check_recursions_on_table(table: dict[tuple[int, int], Fraction], nmax: int) -> bool:
-    """The same two recursions evaluated on a precomputed value table."""
-    return _recursions_hold(lambda r, n: table[(r, n)], nmax)
 
 
 def gl_localization(r: int, n: int, a: Sequence) -> Fraction:

@@ -27,6 +27,13 @@ class CheckResult:
         return {"check": self.name, "passed": self.passed, "detail": self.detail}
 
 
+def _specs(max_mn: int):
+    """Every ``GrassSpec(r, s, m, n)`` with m, n <= max_mn."""
+    for m, n in itertools.product(range(max_mn + 1), repeat=2):
+        for r, s in itertools.product(range(m + 1), range(n + 1)):
+            yield GrassSpec(r, s, m, n)
+
+
 def _random_skew(n: int, rng: random.Random):
     entries = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -117,37 +124,25 @@ def check_root_system_invariants(max_rank: int = 4) -> CheckResult:
 
 
 def check_nonvanishing(max_mn: int = 6) -> CheckResult:
-    bad = []
-    for m, n in itertools.product(range(max_mn + 1), repeat=2):
-        for r, s in itertools.product(range(m + 1), range(n + 1)):
-            spec = GrassSpec(r, s, m, n)
-            if (not grassvol.volume(spec).is_zero()) != (grassvol.sdim(spec) >= 0):
-                bad.append(spec)
+    bad = [spec for spec in _specs(max_mn)
+           if (not grassvol.volume(spec).is_zero()) != (grassvol.sdim(spec) >= 0)]
     return CheckResult("volume-nonvanishing-iff-sdim-nonnegative", not bad,
                        f"exhaustive m,n <= {max_mn}; failures: {len(bad)}")
 
 
 def check_volume_symmetry(max_mn: int = 6) -> CheckResult:
-    bad = 0
-    for m, n in itertools.product(range(max_mn + 1), repeat=2):
-        for r, s in itertools.product(range(m + 1), range(n + 1)):
-            spec = GrassSpec(r, s, m, n)
-            if grassvol.volume(spec) != grassvol.volume(spec.swapped()):
-                bad += 1
+    bad = sum(grassvol.volume(spec) != grassvol.volume(spec.swapped())
+              for spec in _specs(max_mn))
     return CheckResult("volume-swap-symmetry", bad == 0,
                        f"exhaustive m,n <= {max_mn}; failures: {bad}")
 
 
 def check_cross_formula(max_mn: int = 6) -> CheckResult:
     bad = 0
-    for m, n in itertools.product(range(max_mn + 1), repeat=2):
-        for r, s in itertools.product(range(m + 1), range(n + 1)):
-            spec = GrassSpec(r, s, m, n)
-            if r >= s and grassvol.sdim(spec) >= 0:
-                if grassvol.volume_via_fibration(spec) != grassvol.volume(spec):
-                    bad += 1
-            if not grassvol.check_complement_duality(spec):
-                bad += 1
+    for spec in _specs(max_mn):
+        if spec.r >= spec.s and grassvol.sdim(spec) >= 0:
+            bad += grassvol.volume_via_fibration(spec) != grassvol.volume(spec)
+        bad += not grassvol.check_complement_duality(spec)
     return CheckResult("volume-cross-formula-and-duality", bad == 0,
                        f"exhaustive m,n <= {max_mn}; failures: {bad}")
 
@@ -165,12 +160,9 @@ def check_flag_identity(max_c: int = 8) -> CheckResult:
 
 def check_two_pi_power(max_mn: int = 6) -> CheckResult:
     bad = 0
-    for m, n in itertools.product(range(max_mn + 1), repeat=2):
-        for r, s in itertools.product(range(m + 1), range(n + 1)):
-            spec = GrassSpec(r, s, m, n)
-            vol = grassvol.volume(spec)
-            if not vol.is_zero() and vol.two_pi_power != grassvol.dims(spec).odd:
-                bad += 1
+    for spec in _specs(max_mn):
+        vol = grassvol.volume(spec)
+        bad += not vol.is_zero() and vol.two_pi_power != grassvol.dims(spec).odd
     return CheckResult("two-pi-power-equals-odd-dimension", bad == 0,
                        f"exhaustive m,n <= {max_mn}; failures: {bad}")
 
@@ -191,10 +183,13 @@ def check_c_table(table: dict[tuple[int, int], Fraction], max_n: int = 12,
 
 def check_c_recursions(table: dict[tuple[int, int], Fraction], max_n: int = 20,
                        brute_max_n: int = 12) -> CheckResult:
-    ok_closed = qlocal.check_recursions(max_n)
-    ok_brute = qlocal.check_recursions_on_table(table, brute_max_n)
-    return CheckResult("c-recursions-and-symmetry", ok_closed and ok_brute,
-                       f"closed form to n = {max_n}, brute force to n = {brute_max_n}")
+    detail = f"closed form to n = {max_n}, brute force to n = {brute_max_n}"
+    if min(max_n, brute_max_n) < 1:
+        return CheckResult("c-recursions-and-symmetry", False,
+                           f"{detail}; no (r, n) case covered")
+    ok = (qlocal.check_recursions(qlocal.c_closed, max_n)
+          and qlocal.check_recursions(lambda r, n: table[(r, n)], brute_max_n))
+    return CheckResult("c-recursions-and-symmetry", ok, detail)
 
 
 def check_c_vanishing(max_n: int = 20) -> CheckResult:
@@ -303,13 +298,10 @@ def check_chains(max_gl: int = 5, max_q: int = 10) -> CheckResult:
 
 
 def check_predicate_agreement(max_gl: int = 6, max_q: int = 20) -> CheckResult:
-    bad = 0
-    for m, n in itertools.product(range(max_gl + 1), repeat=2):
-        for r, s in itertools.product(range(m + 1), range(n + 1)):
-            levi = splitting.is_splitting_levi_gl(r, s, m, n).ok
-            vol_nonzero = not grassvol.volume(GrassSpec(r, s, m, n)).is_zero()
-            if levi != vol_nonzero:
-                bad += 1
+    bad = sum(
+        splitting.is_splitting_levi_gl(spec.r, spec.s, spec.m, spec.n).ok
+        != (not grassvol.volume(spec).is_zero())
+        for spec in _specs(max_gl))
     for n in range(max_q + 1):
         for r in range(n + 1):
             levi = splitting.is_splitting_levi_q(r, n).ok
@@ -321,14 +313,13 @@ def check_predicate_agreement(max_gl: int = 6, max_q: int = 20) -> CheckResult:
 
 def check_sdim_necessity(max_mn: int = 6) -> CheckResult:
     bad = 0
-    for m, n in itertools.product(range(max_mn + 1), repeat=2):
-        for r, s in itertools.product(range(m + 1), range(n + 1)):
-            g = splitting.GL(m, n)
-            k = splitting.GL(r, s) * splitting.GL(m - r, n - s)
-            necessity = splitting.sdim_necessity((g.even_dim, g.odd_dim),
-                                                 (k.even_dim, k.odd_dim))
-            if necessity != (grassvol.sdim(GrassSpec(r, s, m, n)) >= 0):
-                bad += 1
+    for spec in _specs(max_mn):
+        r, s, m, n = spec.r, spec.s, spec.m, spec.n
+        g = splitting.GL(m, n)
+        k = splitting.GL(r, s) * splitting.GL(m - r, n - s)
+        necessity = splitting.sdim_necessity((g.even_dim, g.odd_dim),
+                                             (k.even_dim, k.odd_dim))
+        bad += necessity != (grassvol.sdim(spec) >= 0)
     return CheckResult("sdim-necessity-reproduces-grassmannian-sdim", bad == 0,
                        f"exhaustive m,n <= {max_mn}; failures: {bad}")
 

@@ -123,15 +123,16 @@ def test_domain_error_exit_code(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["no-such-verb"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["volume", "1", "1", "2"])
-    assert exc.value.code == 2
+    for argv in (["no-such-verb"], ["volume", "1", "1", "2"],
+                 ["splitting", "gl", "1", "1"], ["splitting", "q", "1", "2", "3", "4"],
+                 ["chain", "GL", "3"], ["chain", "Q", "1", "2"], ["chain", "SL", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
 
 
 @pytest.mark.parametrize("argv", [
+    ["c-table", "-1"],
     ["c-table", "3", "--brute", "--samples", "0"],
     ["qvolume", "2", "4", "--brute", "--samples", "0"],
     ["localize", "2", "4", "--samples", "0"],
@@ -166,6 +167,8 @@ def test_disagreement_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(qlocal, "gl_localization", lambda r, n, a: 0)
     code, out, _ = run_cli(capsys, "localize", "2", "4", "--format", "json")
     assert code == 1 and json.loads(out)["result"]["all_samples_agree"] is False
+    code, out, _ = run_cli(capsys, "localize", "2", "4")
+    assert code == 1 and "localization sum = 0 " in out
 
 
 def test_verify_json_lines_deterministic(capsys):
@@ -182,3 +185,14 @@ def test_verify_json_lines_deterministic(capsys):
     code = cli.main(list(argv))
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_verify_fails_when_no_recursion_case_is_covered(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "0", "--max-n-c", "0",
+                           "--format", "json")
+    assert code == 1
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    [recursions] = [e for e in lines if e.get("check") == "c-recursions-and-symmetry"]
+    assert recursions["passed"] is False
+    assert "no (r, n) case covered" in recursions["detail"]
+    assert lines[-1] == {"passed": 19, "failed": 1}

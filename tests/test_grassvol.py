@@ -9,7 +9,6 @@ from supervol.grassvol import (
     SuperDim,
     VolumeExpr,
     check_flag_identity,
-    check_complement_duality,
     dims,
     duality_sign,
     sdim,
@@ -97,12 +96,6 @@ def test_fibration_route_examples():
                 assert volume_via_fibration(spec) == volume(spec)
 
 
-def test_fibration_route_exhaustive():
-    for spec in all_specs(6):
-        if spec.r >= spec.s and sdim(spec) >= 0:
-            assert volume_via_fibration(spec) == volume(spec)
-
-
 def test_fibration_route_rejects_bad_input():
     with pytest.raises(ValueError):
         volume_via_fibration(GrassSpec(2, 0, 3, 4))
@@ -118,19 +111,10 @@ def test_duality_sign_examples():
             assert sign == (-1) ** (n * (m - n))
 
 
-def test_complement_duality_exhaustive():
-    for spec in all_specs(6):
-        assert check_complement_duality(spec)
-
-
 def test_flag_identity_examples_and_sweep():
     assert check_flag_identity(0, 1, 2)
     assert check_flag_identity(1, 2, 3)
     assert check_flag_identity(1, 1, 4)
-    for a in range(9):
-        for b in range(a, 9):
-            for c in range(b, 9):
-                assert check_flag_identity(a, b, c)
     with pytest.raises(ValueError):
         check_flag_identity(2, 1, 3)
 

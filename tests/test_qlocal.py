@@ -11,7 +11,6 @@ from supervol.qlocal import (
     c_bruteforce,
     c_closed,
     check_recursions,
-    check_recursions_on_table,
     gl_localization,
     random_params,
     seeded_param_vectors,
@@ -115,10 +114,12 @@ def test_brute_force_matches_closed_form():
 
 
 def test_check_recursions():
-    assert check_recursions(5)
-    assert check_recursions(20)
+    assert check_recursions(c_closed, 5)
+    assert check_recursions(c_closed, 20)
+    assert check_recursions(c_closed, 1)  # the single case (1, 1)
+    assert not check_recursions(lambda r, n: r, 1)  # breaks C(1,1) = C(0,0)
     with pytest.raises(ValueError):
-        check_recursions(1)
+        check_recursions(c_closed, 0)
     # symmetry at (r,n) = (1,3): C(1,3) = (-1)^2 C(2,3)
     assert c_closed(1, 3) == c_closed(2, 3) == 1
     # base case consistent with both recursions
@@ -127,7 +128,7 @@ def test_check_recursions():
 
 def test_recursions_on_brute_table():
     table = brute_c_table(6, 7)
-    assert check_recursions_on_table(table, 6)
+    assert check_recursions(lambda r, n: table[(r, n)], 6)
 
 
 def test_gl_localization_examples():

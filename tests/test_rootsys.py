@@ -111,12 +111,6 @@ def test_q_roots_are_mixed():
     assert not system.contragredient
 
 
-def test_defect_gl_table():
-    for m in range(5):
-        for n in range(5):
-            assert defect(build_root_system("gl", m, n)) == min(m, n)
-
-
 def test_defect_exceptional_families():
     assert defect(build_root_system("osp", 3, 2)) == 1
     assert defect(build_root_system("osp", 2, 2)) == 1
