@@ -3,12 +3,15 @@
 
 The defect of a Lie superalgebra with an invariant form is the maximal
 number of mutually orthogonal, linearly independent isotropic odd roots.
-It is found here by exhaustive search over the root tables.
+It is found here by a branch-and-bound search over the root tables that
+stops once it reaches the Witt index of the invariant form, an upper
+bound for the defect.
 """
 
 from fractions import Fraction
 
-from supervol import build_root_system, defect, defect_subgroup_roots, isotropic_roots
+from supervol import (build_root_system, defect, defect_subgroup_roots,
+                      isotropic_roots, witt_index)
 
 
 def pretty(coords):
@@ -35,7 +38,8 @@ def main():
     for family, params in (("osp", (3, 2)), ("osp", (2, 2)),
                            ("d21a", (Fraction(1, 2),)), ("g3", ()), ("f4", ())):
         label = family + (str(tuple(map(str, params))) if params else "")
-        print(f"defect {label} = {defect(build_root_system(family, *params))}")
+        system = build_root_system(family, *params)
+        print(f"defect {label} = {defect(system)} (Witt index {witt_index(system)})")
 
     print("\n== the one-parameter family keeps all 8 odd roots isotropic ==")
     from supervol import inner

@@ -10,6 +10,7 @@ from .exactnum import (
     Rational,
     alpha_diagonal,
     alpha_pfaffian,
+    inertia,
     pfaffian,
     realified_diagonal_action,
     realify,
@@ -43,6 +44,7 @@ from .rootsys import (
     defect_subgroup_roots,
     inner,
     isotropic_roots,
+    witt_index,
 )
 from .splitting import (
     GL,
@@ -106,6 +108,7 @@ __all__ = [
     "f31_pair",
     "g12_pair",
     "gl_localization",
+    "inertia",
     "inner",
     "is_splitting_levi_gl",
     "is_splitting_levi_q",
@@ -122,4 +125,5 @@ __all__ = [
     "seeded_param_vectors",
     "volume",
     "volume_via_fibration",
+    "witt_index",
 ]

@@ -92,8 +92,10 @@ def _cmd_defect(args):
     params = _parse_family_params(args.params)
     system = rootsys.build_root_system(args.family, *params)
     value = rootsys.defect(system)
+    rules = (["witt-index-bound"] if value == rootsys.witt_index(system)
+             else ["maximal-orthogonal-isotropic-search"])
     _emit(args, "defect", {"family": args.family, "params": [str(p) for p in params]},
-          value, ["maximal-orthogonal-isotropic-search"], str(value))
+          value, rules, str(value))
 
 
 def _cmd_c_table(args):

@@ -2,9 +2,11 @@
 
 Matrices are plain sequences of sequences of values accepted by
 ``fractions.Fraction``; every routine returns exact rationals.  Sizes stay
-in the dozens, so the algorithms favour simplicity over asymptotics
-(dense storage, first-row Pfaffian expansion with memoization, fraction
-Gaussian elimination).
+in the dozens; storage is dense and every kernel is a polynomial-time
+elimination over ``Fraction``: Gaussian elimination for ranks,
+determinants and inverses, skew Schur-complement elimination for
+Pfaffians, and symmetric congruence elimination for the inertia of a
+quadratic form.
 
 The fixed-point invariant of an odd isomorphism acting on a (2n|2n)-
 dimensional space is computed two ways:
@@ -180,8 +182,12 @@ def pfaffian(m) -> Fraction:
 
     Sign convention: Pf([[0,1],[-1,0]]) = +1, and the Pfaffian of a
     direct sum of 2x2 blocks is the product of the block Pfaffians.
-    Recursive expansion along the first remaining row, memoized on the
-    surviving index set; exact at the sizes used here (<= 16).
+    Skew Schur-complement elimination (Parlett-Reid): row k, the first
+    remaining index, is paired with the first remaining l that has
+    a[k][l] != 0; moving l next to k costs the sign (-1)^(pos-1), where
+    pos is l's position among the remaining indices after k, and
+    Pf = +-a[k][l] * Pf(S) with S the Schur complement of the (k, l)
+    block.  O(n^3) exact operations at every size.
     """
     m = mat(m)
     n = len(m)
@@ -189,26 +195,77 @@ def pfaffian(m) -> Fraction:
         raise ValueError("Pfaffian undefined for odd dimension")
     if not is_skew(m):
         raise ValueError("matrix is not skew-symmetric")
-    memo: dict[tuple[int, ...], Fraction] = {}
+    a = [list(row) for row in m]
+    idx = list(range(n))
+    result = Fraction(1)
+    while idx:
+        k = idx[0]
+        row_k = a[k]
+        pos = next((p for p in range(1, len(idx)) if row_k[idx[p]] != 0), None)
+        if pos is None:
+            return Fraction(0)
+        l = idx[pos]
+        pivot = row_k[l]
+        result *= pivot if pos % 2 == 1 else -pivot
+        idx = idx[1:pos] + idx[pos + 1:]
+        row_l = a[l]
+        for p, i in enumerate(idx):
+            row_i = a[i]
+            u, v = row_i[k] / pivot, row_i[l] / pivot
+            if not u and not v:
+                continue
+            for j in idx[p + 1:]:
+                x = row_i[j] + u * row_l[j] - v * row_k[j]
+                row_i[j] = x
+                a[j][i] = -x
+    return result
 
-    def pf(idx: tuple[int, ...]) -> Fraction:
-        if not idx:
-            return Fraction(1)
-        if idx in memo:
-            return memo[idx]
-        i = idx[0]
-        rest = idx[1:]
-        total = Fraction(0)
-        for k, j in enumerate(rest):
-            entry = m[i][j]
-            if entry != 0:
-                sub = rest[:k] + rest[k + 1:]
-                term = entry * pf(sub)
-                total += term if k % 2 == 0 else -term
-        memo[idx] = total
-        return total
 
-    return pf(tuple(range(n)))
+def inertia(sym) -> tuple[int, int, int]:
+    """Inertia (positive, negative, zero) of a symmetric rational matrix.
+
+    Exact symmetric elimination: a nonzero diagonal pivot d splits off
+    <d> and leaves its Schur complement, which is congruent to the rest
+    (Sylvester's law of inertia).  When every remaining diagonal entry
+    is 0 but some a[i][j] is not, the congruence e_i += e_j makes the
+    pivot a[i][i] = 2 a[i][j] nonzero; leading minors alone would stop
+    at such a zero minor.
+    """
+    a = [list(row) for row in mat(sym)]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("inertia of non-square matrix")
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+    idx = list(range(n))
+    pos = neg = 0
+    while idx:
+        piv = next((i for i in idx if a[i][i] != 0), None)
+        if piv is None:
+            pair = next(((i, j) for p, i in enumerate(idx) for j in idx[p + 1:]
+                         if a[i][j] != 0), None)
+            if pair is None:
+                break
+            piv, j = pair
+            diag = 2 * a[piv][j]
+            for t in idx:
+                a[piv][t] = a[t][piv] = a[piv][t] + a[j][t]
+            a[piv][piv] = diag
+        d = a[piv][piv]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        idx.remove(piv)
+        row_p = a[piv]
+        for p, i in enumerate(idx):
+            f = a[i][piv] / d
+            if f:
+                row_i = a[i]
+                for j in idx[p:]:
+                    row_i[j] -= f * row_p[j]
+                    a[j][i] = row_i[j]
+    return pos, neg, n - pos - neg
 
 
 def alpha_pfaffian(q01, q10) -> Fraction:

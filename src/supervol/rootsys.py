@@ -3,8 +3,11 @@
 Weights are tuples of Fractions in a fixed basis; each system carries a
 rational Gram matrix for the invariant form.  The defect (the maximal
 number of mutually orthogonal, linearly independent isotropic odd roots)
-is found by exhaustive search, which is feasible at the small ranks this
-package targets.
+is found by a branch-and-bound search certified by the Witt index of the
+form: such roots span a totally isotropic subspace, so the defect is at
+most ``witt_index``, and the search stops as soon as it reaches that
+bound.  On every supported family it does, after a handful of nodes;
+the search is capped at ``SEARCH_NODE_BUDGET`` nodes.
 
 Supported families:
 
@@ -23,11 +26,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import as_fraction, rank
+from .exactnum import as_fraction, inertia, rank
 
 EVEN = "even"
 ODD = "odd"
 MIXED = "mixed"  # q(n) only: root space of dimension (1|1)
+
+# Node cap of the defect search; past it the search raises ValueError.
+SEARCH_NODE_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -264,49 +270,61 @@ def _positive_representatives(system: RootSystem) -> list[Root]:
     return [Root(c, ODD) for c in sorted(reps, key=key)]
 
 
-def _max_orthogonal_independent(system: RootSystem, reps: list[Root],
-                                target: int | None = None):
-    """Search mutually orthogonal, linearly independent subsets of reps.
+def witt_index(system: RootSystem) -> int:
+    """Dimension of a maximal totally isotropic subspace of the form.
 
-    With ``target`` None, returns the maximum cardinality found.  With a
-    target, returns the first subset of that size in include-first
-    depth-first order (deterministic given the canonical rep order).
+    With inertia (pos, neg, zero) of the Gram matrix this is
+    min(pos, neg) + zero; it bounds the defect from above.
     """
+    pos, neg, zero = inertia(system.gram)
+    return min(pos, neg) + zero
+
+
+def _max_orthogonal_independent(system: RootSystem, reps: list[Root]) -> list[Root]:
+    """First maximum mutually orthogonal, linearly independent subset of reps.
+
+    Include-first depth-first branch and bound over the canonical rep
+    order: a branch is cut when it cannot beat the best set so far, and
+    the search stops once the best set reaches the Witt index.  The
+    result is the first maximum subset in include-first order.
+    """
+    bound = witt_index(system)
     n = len(reps)
-    pair_ok = [
-        [inner(system, reps[i].coords, reps[j].coords) == 0 for j in range(n)]
-        for i in range(n)
-    ]
-    best = 0
-    found: list[Root] | None = None
+    orthogonal: dict[tuple[int, int], bool] = {}
+
+    def orth(j: int, i: int) -> bool:
+        if (j, i) not in orthogonal:
+            orthogonal[j, i] = inner(system, reps[j].coords, reps[i].coords) == 0
+        return orthogonal[j, i]
+
+    best: list[int] = []
+    nodes = 0
 
     def extend(start: int, chosen: list[int]):
-        nonlocal best, found
-        if found is not None:
-            return
-        best = max(best, len(chosen))
-        if target is not None and len(chosen) == target:
-            found = [reps[i] for i in chosen]
-            return
-        remaining = n - start
-        if target is not None and len(chosen) + remaining < target:
-            return
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > SEARCH_NODE_BUDGET:
+            raise ValueError(
+                f"defect search on {system.family}{system.params} exceeded "
+                f"{SEARCH_NODE_BUDGET} nodes")
+        if len(chosen) > len(best):
+            best = chosen
         for i in range(start, n):
-            if all(pair_ok[j][i] for j in chosen):
+            if len(best) == bound or len(chosen) + n - i <= len(best):
+                return
+            if all(orth(j, i) for j in chosen):
                 vecs = [reps[j].coords for j in chosen] + [reps[i].coords]
                 if rank(vecs) == len(vecs):
                     extend(i + 1, chosen + [i])
-                    if found is not None:
-                        return
 
     extend(0, [])
-    return best if target is None else found
+    return [reps[i] for i in best]
 
 
 def defect(system: RootSystem) -> int:
     """Maximal number of mutually orthogonal, independent isotropic roots."""
     _require_contragredient(system)
-    return _max_orthogonal_independent(system, _positive_representatives(system))
+    return len(_max_orthogonal_independent(system, _positive_representatives(system)))
 
 
 def defect_subgroup_roots(system: RootSystem) -> list[tuple[Root, Root]]:
@@ -316,10 +334,7 @@ def defect_subgroup_roots(system: RootSystem) -> list[tuple[Root, Root]]:
     here is the first maximum set in the canonical representative order,
     which for gl(m|n) is the diagonal family eps_i - delta_i.
     """
-    d = defect(system)
-    if d == 0:
+    chosen = _max_orthogonal_independent(system, _positive_representatives(system))
+    if not chosen:
         raise ValueError("no isotropic roots")
-    reps = _positive_representatives(system)
-    chosen = _max_orthogonal_independent(system, reps, target=d)
-    assert chosen is not None
     return [(r, -r) for r in chosen]

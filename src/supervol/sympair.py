@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import as_fraction, det, inverse, mat, solve
+from .exactnum import as_fraction, det, inertia, inverse, mat, solve
 
 Vector = tuple[Fraction, ...]
 
@@ -158,12 +158,8 @@ def fundamental_weights(pair: RestrictedPair) -> tuple[Vector, ...]:
 
 
 def gram_positive_definite(pair: RestrictedPair) -> bool:
-    """Sylvester criterion: all leading principal minors positive."""
-    k = pair.rank
-    return all(
-        det([row[: i + 1] for row in pair.gram[: i + 1]]) > 0
-        for i in range(k)
-    )
+    """Whether the Gram matrix has inertia (rank, 0, 0)."""
+    return inertia(pair.gram) == (pair.rank, 0, 0)
 
 
 # --- D(2,1;alpha) principal-block weights ---------------------------------

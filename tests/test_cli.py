@@ -4,7 +4,7 @@ import json
 import jsonschema
 import pytest
 
-from supervol import cli, qlocal
+from supervol import cli, qlocal, rootsys
 from supervol.grassvol import VolumeExpr
 from supervol.schema import ENVELOPE_SCHEMA, VOLUME_EXPR_SCHEMA
 
@@ -72,6 +72,21 @@ def test_defect(capsys):
     assert envelope["result"] == 1
     code, out, _ = run_cli(capsys, "defect", "g3")
     assert code == 0 and out.strip() == "1"
+    envelope = run_json(capsys, "defect", "gl", "8", "8")
+    assert envelope["result"] == 8
+    assert envelope["rules"] == ["witt-index-bound"]
+
+
+def test_defect_rules_and_budget(capsys, monkeypatch):
+    bound = rootsys.witt_index
+    monkeypatch.setattr(rootsys, "witt_index", lambda system: bound(system) + 1)
+    envelope = run_json(capsys, "defect", "gl", "2", "3")
+    assert envelope["result"] == 2
+    assert envelope["rules"] == ["maximal-orthogonal-isotropic-search"]
+    monkeypatch.setattr(rootsys, "SEARCH_NODE_BUDGET", 1)
+    code, out, err = run_cli(capsys, "defect", "gl", "2", "3")
+    assert code == 1 and out == ""
+    assert "defect search on gl(2, 3) exceeded 1 nodes" in err
 
 
 def test_c_table(capsys):

@@ -9,6 +9,7 @@ from supervol import exactnum
 from supervol.exactnum import (
     alpha_diagonal,
     alpha_pfaffian,
+    inertia,
     mat_mul,
     pfaffian,
     realified_diagonal_action,
@@ -33,14 +34,43 @@ def det_cofactor(m):
     return total
 
 
-def random_skew(n, rng):
+def random_skew(n, rng, density=1.0, max_den=4):
     entries = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            x = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            entries[i][j] = x
-            entries[j][i] = -x
+            if rng.random() < density:
+                x = Fraction(rng.randint(-9, 9), rng.randint(1, max_den))
+                entries[i][j] = x
+                entries[j][i] = -x
     return entries
+
+
+def perfect_matchings(idx):
+    if not idx:
+        yield []
+        return
+    first, rest = idx[0], idx[1:]
+    for k, partner in enumerate(rest):
+        for tail in perfect_matchings(rest[:k] + rest[k + 1:]):
+            yield [(first, partner)] + tail
+
+
+def permutation_sign(perm):
+    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+                     if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+def pfaffian_matchings(m):
+    """Independent oracle (n <= 8): the sum over perfect matchings
+    {(i1, j1), ..., (ik, jk)}, i < j, of sgn(i1 j1 ... ik jk) * prod a[i][j]."""
+    total = Fraction(0)
+    for matching in perfect_matchings(list(range(len(m)))):
+        term = Fraction(permutation_sign([x for pair in matching for x in pair]))
+        for i, j in matching:
+            term *= Fraction(m[i][j])
+        total += term
+    return total
 
 
 def test_pfaffian_2x2_normalization():
@@ -72,6 +102,72 @@ def test_pfaffian_squared_is_determinant():
         n = 2 * rng.randint(1, 3)
         m = random_skew(n, rng)
         assert pfaffian(m) ** 2 == det_cofactor(m)
+
+
+@pytest.mark.parametrize("density", [1.0, 0.5, 0.25])
+@pytest.mark.parametrize("max_den", [1, 4])
+def test_pfaffian_matches_matching_oracle(density, max_den):
+    rng = random.Random(int(density * 100) + max_den)
+    for n in range(0, 9, 2):
+        for _ in range(6):
+            m = random_skew(n, rng, density, max_den)
+            assert pfaffian(m) == pfaffian_matchings(m)
+
+
+def test_pfaffian_zero_pivots():
+    rng = random.Random(23)
+    for n in (4, 6, 8):
+        for _ in range(5):
+            m = random_skew(n, rng)
+            m[0][1] = m[1][0] = Fraction(0)
+            assert pfaffian(m) == pfaffian_matchings(m)
+            # a zero row makes the matrix singular
+            for j in range(n):
+                m[0][j] = m[j][0] = Fraction(0)
+            assert pfaffian(m) == pfaffian_matchings(m) == 0
+    # first pairing partner far from the pivot row: Pf = -a[0][2] * a[1][3]
+    m = [[0, 0, 2, 0], [0, 0, 0, 3], [-2, 0, 0, 0], [0, -3, 0, 0]]
+    assert pfaffian(m) == pfaffian_matchings(m) == -6
+
+
+def test_pfaffian_squared_is_determinant_large():
+    rng = random.Random(29)
+    for n in (12, 16, 20):
+        m = random_skew(n, rng)
+        assert pfaffian(m) ** 2 == exactnum.det(m)
+
+
+def test_inertia_examples():
+    assert inertia([[3, 0, 0], [0, 0, 0], [0, 0, -1]]) == (1, 1, 1)
+    assert inertia([[0, 0], [0, 0]]) == (0, 0, 2)
+    assert inertia([]) == (0, 0, 0)
+    assert inertia([[0, 1], [1, 0]]) == (1, 1, 0)
+    assert inertia([[2, -1, 0], [-1, 2, 0], [0, 0, -2]]) == (2, 1, 0)  # g3 Gram
+    # degenerate: the third row is the sum of the first two
+    assert inertia([[1, 2, 3], [2, 1, 3], [3, 3, 6]]) == (1, 1, 1)
+    assert inertia([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == (1, 2, 0)
+    with pytest.raises(ValueError, match="not symmetric"):
+        inertia([[0, 1], [2, 0]])
+    with pytest.raises(ValueError, match="non-square"):
+        inertia([[1, 0]])
+
+
+def test_inertia_congruence_invariance():
+    rng = random.Random(31)
+    checked = 0
+    while checked < 30:
+        n = rng.randint(1, 5)
+        diag = [Fraction(rng.choice((-2, -1, 0, 0, 1, 3))) for _ in range(n)]
+        expected = (sum(d > 0 for d in diag), sum(d < 0 for d in diag),
+                    sum(d == 0 for d in diag))
+        p = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+             for _ in range(n)]
+        if exactnum.det(p) == 0:
+            continue
+        a = [[d if i == j else Fraction(0) for j, d in enumerate(diag)]
+             for i in range(n)]
+        assert inertia(mat_mul(mat_mul(transpose(p), a), p)) == expected
+        checked += 1
 
 
 def test_det_matches_cofactor_oracle():

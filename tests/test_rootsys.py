@@ -12,6 +12,7 @@ from supervol.rootsys import (
     defect_subgroup_roots,
     inner,
     isotropic_roots,
+    witt_index,
 )
 
 
@@ -129,6 +130,42 @@ def test_defect_search_order_invariance():
         shuffled = rootsys.RootSystem(system.family, system.params,
                                       system.gram, tuple(roots))
         assert defect(shuffled) == 3
+
+
+WITT_FAMILIES = (
+    [("gl", (m, n)) for m in range(5) for n in range(5)]
+    + [("osp", (3, 2)), ("osp", (2, 2)), ("d21a", (Fraction(1),)),
+       ("d21a", (Fraction(1, 2),)), ("d21a", (Fraction(-3),)), ("g3", ()),
+       ("f4", ()), ("osp", (8, 8)), ("sl", (3, 2))]
+)
+
+
+@pytest.mark.parametrize("family,params", WITT_FAMILIES)
+def test_defect_attains_witt_index(family, params):
+    system = build_root_system(family, *params)
+    assert witt_index(system) == defect(system)
+
+
+def test_exhaustive_search_without_witt_stop(monkeypatch):
+    """With the bound raised past the defect the search never stops early,
+    so it runs exhaustively; it must still give the same answers."""
+    expected = {("gl", (m, n)): min(m, n) for m in range(4) for n in range(4)}
+    expected.update({("osp", (3, 2)): 1, ("g3", ()): 1})
+    systems = {key: build_root_system(key[0], *key[1]) for key in expected}
+    witnesses = {key: defect_subgroup_roots(system)
+                 for key, system in systems.items() if expected[key]}
+    bound = rootsys.witt_index
+    monkeypatch.setattr(rootsys, "witt_index", lambda system: bound(system) + 1)
+    for key, system in systems.items():
+        assert defect(system) == expected[key], key
+        if expected[key]:
+            assert defect_subgroup_roots(system) == witnesses[key], key
+
+
+def test_defect_search_node_budget(monkeypatch):
+    monkeypatch.setattr(rootsys, "SEARCH_NODE_BUDGET", 1)
+    with pytest.raises(ValueError, match=r"defect search on gl\(2, 2\) exceeded 1 nodes"):
+        defect(build_root_system("gl", 2, 2))
 
 
 def test_defect_subgroup_roots_gl22_diagonal():
