@@ -168,8 +168,6 @@ def _cmd_chain(args):
 
 def _cmd_casimir(args):
     if args.pair == "osp":
-        if args.m is None or args.n is None:
-            raise ValueError("casimir osp requires --m and --n")
         pair = sympair.osp_pair(args.m, args.n)
     elif args.pair == "g12":
         pair = sympair.g12_pair()
@@ -310,6 +308,12 @@ def _normalize_args(parser, args):
             parser.error("chain GL requires m and n")
         if args.family == "Q" and len(args.params) != 1:
             parser.error("chain Q requires n")
+    elif args.verb == "casimir":
+        given = (args.m is not None, args.n is not None)
+        if args.pair == "osp" and given != (True, True):
+            parser.error("casimir osp requires --m and --n")
+        if args.pair != "osp" and any(given):
+            parser.error(f"casimir {args.pair} takes neither --m nor --n")
 
 
 def main(argv=None) -> int:

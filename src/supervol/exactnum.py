@@ -136,39 +136,6 @@ def inverse(m) -> Matrix:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def solve(a, b) -> tuple[Fraction, ...]:
-    """Solve a x = b exactly for a consistent system with unique solution.
-
-    ``a`` may be rectangular (more rows than columns); raises if the
-    columns are dependent or the system is inconsistent.
-    """
-    a = mat(a)
-    bvec = tuple(as_fraction(x) for x in b)
-    if len(a) != len(bvec):
-        raise ValueError("dimension mismatch")
-    ncols = len(a[0]) if a else 0
-    aug = [list(row) + [bv] for row, bv in zip(a, bvec)]
-    row = 0
-    pivots = []
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(aug)) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("simple roots dependent")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv_piv = 1 / aug[row][col]
-        aug[row] = [x * inv_piv for x in aug[row]]
-        for r in range(len(aug)):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, len(aug)):
-        if aug[r][ncols] != 0:
-            raise ValueError("inconsistent system")
-    return tuple(aug[r][ncols] for r in range(ncols))
-
-
 def is_skew(m) -> bool:
     m = mat(m)
     n = len(m)

@@ -1,12 +1,12 @@
 """Restricted-root data for three symmetric pairs and Casimir positivity.
 
-Each built-in pair records its simple restricted roots, the rational Gram
-matrix of the invariant form on the restricted weight space, the weight
-rho (half the multiplicity-weighted positive-root sum, stored as data),
-and the declared consecutive length ratios.  The quadratic Casimir acts
-on a highest-weight eigenfunction of weight lam by (lam + 2 rho, lam);
-for nonzero dominant weights this is strictly positive, which is the key
-inequality this module exposes.
+Each built-in pair is the rational Gram matrix (alpha_i, alpha_j) of the
+invariant form in the basis of its simple restricted roots, the weight
+rho (half the multiplicity-weighted positive-root sum, declared in
+simple-root coordinates), and the declared consecutive length ratios.
+The quadratic Casimir acts on a highest-weight eigenfunction of weight
+lam by (lam + 2 rho, lam); for nonzero dominant weights this is strictly
+positive, which is the key inequality this module exposes.
 
 Also houses the principal-block weight list of the D(2,1;alpha) family:
 lam_l = (l+1) eps1 + (l-1)(eps2 + eps3) for l >= 1 and lam_0 = 0, of
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import as_fraction, det, inertia, inverse, mat, solve
+from .exactnum import as_fraction, inertia, inverse, mat
 
 Vector = tuple[Fraction, ...]
 
@@ -28,20 +28,19 @@ Vector = tuple[Fraction, ...]
 class RestrictedPair:
     """Restricted-root data of a rank-k symmetric pair.
 
-    Simple roots are expressed in the ambient basis of the restricted
-    weight space; here the ambient basis is the simple-root basis itself,
-    so the Gram matrix is the matrix of pairings (alpha_i, alpha_j).
+    Weights are written in the basis of the simple restricted roots, so
+    alpha_i is the i-th coordinate vector and the Gram matrix is the
+    matrix of pairings (alpha_i, alpha_j).
     """
 
     name: str
-    simple_roots: tuple[Vector, ...]
     gram: tuple[tuple[Fraction, ...], ...]
     rho: Vector
     length_ratios: tuple[Fraction, ...]
 
     @property
     def rank(self) -> int:
-        return len(self.simple_roots)
+        return len(self.gram)
 
     def inner(self, v, w) -> Fraction:
         vv = tuple(as_fraction(x) for x in v)
@@ -54,38 +53,32 @@ class RestrictedPair:
         )
 
     def is_dominant(self, v) -> bool:
-        return all(self.inner(v, a) >= 0 for a in self.simple_roots)
+        """Whether (v, alpha_j) = sum_i v_i G_ij >= 0 for every simple root."""
+        vv = tuple(as_fraction(x) for x in v)
+        if len(vv) != len(self.gram):
+            raise ValueError("dimension mismatch")
+        return all(sum(vi * row[j] for vi, row in zip(vv, self.gram)) >= 0
+                   for j in range(len(self.gram)))
 
 
 def _pair(name, gram_rows, rho_coeffs, ratios) -> RestrictedPair:
     gram = mat(gram_rows)
-    k = len(gram)
-    simple = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(k))
-        for i in range(k)
-    )
-    pair = RestrictedPair(
-        name=name,
-        simple_roots=simple,
-        gram=gram,
-        rho=tuple(as_fraction(c) for c in rho_coeffs),
-        length_ratios=tuple(as_fraction(r) for r in ratios),
-    )
-    for i, ratio in enumerate(pair.length_ratios):
-        a, b = pair.simple_roots[i], pair.simple_roots[i + 1]
-        if pair.inner(a, a) != ratio * pair.inner(b, b):
+    ratios = tuple(as_fraction(r) for r in ratios)
+    for i, ratio in enumerate(ratios):
+        if gram[i][i] != ratio * gram[i + 1][i + 1]:
             raise ValueError(f"{name}: declared length ratio mismatch")
-    return pair
+    return RestrictedPair(name, gram, tuple(as_fraction(c) for c in rho_coeffs),
+                          ratios)
 
 
 def osp_pair(m: int, n: int) -> RestrictedPair:
-    """Rank-one pair osp(2m|2n) / osp(2m|2n-2) x sp(2); needs n > m.
+    """Rank-one pair osp(2m|2n) / osp(2m|2n-2) x sp(2); needs n > m >= 0.
 
     Restricted system of type BC1 with positive roots {alpha, 2*alpha};
     rho = (n - m - 1) alpha.
     """
-    if n <= m:
-        raise ValueError("orthosymplectic pair requires n > m")
+    if not n > m >= 0:
+        raise ValueError("orthosymplectic pair requires n > m >= 0")
     return _pair(f"osp({2*m}|{2*n})/osp({2*m}|{2*n-2})xsp(2)",
                  [[2]], [n - m - 1], [])
 
@@ -115,13 +108,9 @@ def builtin_pairs(m: int, n: int) -> list[RestrictedPair]:
 def rho_coefficients(pair: RestrictedPair) -> tuple[Vector, bool]:
     """Coefficients c with rho = sum c_i alpha_i, and whether all c_i >= 0.
 
-    Solved exactly from the simple-root vectors; raises if they are
-    linearly dependent.
+    rho is declared in simple-root coordinates, so c is rho itself.
     """
-    columns = mat([[a[i] for a in pair.simple_roots]
-                   for i in range(len(pair.rho))])
-    coeffs = solve(columns, pair.rho)
-    return coeffs, all(c >= 0 for c in coeffs)
+    return pair.rho, all(c >= 0 for c in pair.rho)
 
 
 def casimir_eigenvalue(pair: RestrictedPair, weight) -> Fraction:
@@ -148,10 +137,10 @@ def fundamental_weights(pair: RestrictedPair) -> tuple[Vector, ...]:
     """Dual basis vectors w_i with (w_i, alpha_j) = delta_ij.
 
     Nonnegative combinations of these are exactly the dominant weights,
-    which is how the positivity sweeps generate their grids.
+    which is how the positivity sweeps generate their grids.  They are the
+    columns of the inverse Gram matrix; a degenerate form raises
+    ValueError.
     """
-    if det(pair.gram) == 0:
-        raise ValueError("degenerate form")
     inv = inverse(pair.gram)
     k = pair.rank
     return tuple(tuple(inv[i][j] for i in range(k)) for j in range(k))

@@ -1,8 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import json
+from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supervol import cli, qlocal, rootsys
 from supervol.grassvol import VolumeExpr
@@ -129,18 +134,66 @@ def test_casimir(capsys):
     assert envelope["result"]["positive"] is True
 
 
+# Gram matrices and rho of the built-in pairs, written out independently
+# of supervol.sympair.
+_CASIMIR_PAIRS = {
+    "g12": ([[6, -3], [-3, 2]], [1, 1]),
+    "f31": ([[6, -3, 0], [-3, 16, -4], [0, -4, 8]], [1, 2, 3]),
+}
+
+
+@st.composite
+def _casimir_cases(draw):
+    choice = draw(st.sampled_from(["g12", "f31", "osp"]))
+    if choice == "osp":
+        n = draw(st.integers(1, 4))
+        m = draw(st.integers(0, n - 1))
+        opts, gram, rho = ["--m", str(m), "--n", str(n)], [[2]], [n - m - 1]
+    else:
+        opts, (gram, rho) = [], _CASIMIR_PAIRS[choice]
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    weight = draw(st.lists(coeff, min_size=len(gram), max_size=len(gram))
+                  .filter(any))
+    return choice, opts, gram, rho, weight
+
+
+@settings(max_examples=40, deadline=None)
+@given(_casimir_cases())
+def test_casimir_json_matches_gram_formula(case):
+    choice, opts, gram, rho, weight = case
+    argv = ["casimir", choice, *opts, "--format", "json", "--",
+            ",".join(str(w) for w in weight)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    envelope = json.loads(out.getvalue())
+    jsonschema.validate(envelope, ENVELOPE_SCHEMA)
+    k = len(gram)
+    value = sum((weight[i] + 2 * rho[i]) * gram[i][j] * weight[j]
+                for i in range(k) for j in range(k))
+    dominant = all(sum(weight[i] * gram[i][j] for i in range(k)) >= 0
+                   for j in range(k))
+    assert envelope["params"]["weight"] == [str(w) for w in weight]
+    assert envelope["result"] == {"eigenvalue": str(Fraction(value)),
+                                  "positive": value > 0, "dominant": dominant}
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "volume", "3", "0", "2", "2")
     assert code == 1
     assert "error:" in err
     code, _, err = run_cli(capsys, "casimir", "osp", "1", "--m", "3", "--n", "2")
     assert code == 1 and "n > m" in err
+    code, _, err = run_cli(capsys, "casimir", "osp", "1", "--m", "-1", "--n", "3")
+    assert code == 1 and "n > m >= 0" in err
 
 
 def test_usage_error_exit_code(capsys):
     for argv in (["no-such-verb"], ["volume", "1", "1", "2"],
                  ["splitting", "gl", "1", "1"], ["splitting", "q", "1", "2", "3", "4"],
-                 ["chain", "GL", "3"], ["chain", "Q", "1", "2"], ["chain", "SL", "2"]):
+                 ["chain", "GL", "3"], ["chain", "Q", "1", "2"], ["chain", "SL", "2"],
+                 ["casimir", "osp", "1"], ["casimir", "osp", "1", "--m", "1"],
+                 ["casimir", "g12", "1,0", "--m", "1"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
