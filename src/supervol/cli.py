@@ -8,6 +8,11 @@ Every command emits either a human-readable line or a JSON envelope
 where ``rules`` names the formulas or criteria that produced the result.
 Rationals are rendered as exact strings.  Exit codes: 0 success, 1 domain
 error, 2 usage error.
+
+Each handler imports the modules it uses, and calls them as module
+attributes at call time, so a verb loads only its own modules (``verify``
+only for ``verify`` and ``c-table --brute``) and a rebound attribute is
+seen.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ import math
 import sys
 from fractions import Fraction
 
-from . import grassvol, qlocal, rootsys, splitting, sympair, verify
-from .exactnum import as_fraction
-from .grassvol import GrassSpec
-
 DEFAULT_SEED = 20240001
+# Largest accepted ``verify`` bounds.  The grassmannian sweeps grow as
+# max_n^4 (at 16 they add about 1 s to a run); the subset sums stop at
+# qlocal's n <= 14.
+MAX_N_GRASS = 16
+MAX_N_C = 14
 
 
 def _emit(args, command: str, params: dict, result, rules: list[str], text: str):
@@ -35,7 +41,9 @@ def _emit(args, command: str, params: dict, result, rules: list[str], text: str)
 
 
 def _cmd_volume(args):
-    spec = GrassSpec(args.r, args.s, args.m, args.n)
+    from . import grassvol
+
+    spec = grassvol.GrassSpec(args.r, args.s, args.m, args.n)
     vol = grassvol.volume(spec)
     rules = (["negative-superdimension-vanishing"] if vol.is_zero()
              else ["signed-binomial-volume-formula"])
@@ -45,6 +53,8 @@ def _cmd_volume(args):
 
 
 def _cmd_qvolume(args):
+    from . import grassvol, qlocal
+
     c = qlocal.c_closed(args.r, args.n)
     vol = grassvol.VolumeExpr.make(c, 2 * args.r * (args.n - args.r) if c else 0)
     rules = ["q-grassmannian-subset-sum-closed-form"]
@@ -64,14 +74,18 @@ def _cmd_qvolume(args):
 
 
 def _cmd_sdim(args):
-    spec = GrassSpec(args.r, args.s, args.m, args.n)
+    from . import grassvol
+
+    spec = grassvol.GrassSpec(args.r, args.s, args.m, args.n)
     value = grassvol.sdim(spec)
     _emit(args, "sdim", {"r": args.r, "s": args.s, "m": args.m, "n": args.n},
           value, ["superdimension-product-formula"], str(value))
 
 
 def _cmd_dims(args):
-    spec = GrassSpec(args.r, args.s, args.m, args.n)
+    from . import grassvol
+
+    spec = grassvol.GrassSpec(args.r, args.s, args.m, args.n)
     d = grassvol.dims(spec)
     _emit(args, "dims", {"r": args.r, "s": args.s, "m": args.m, "n": args.n},
           {"even": d.even, "odd": d.odd}, ["dimension-formula"],
@@ -89,6 +103,8 @@ def _parse_family_params(raw: list[str]):
 
 
 def _cmd_defect(args):
+    from . import rootsys
+
     params = _parse_family_params(args.params)
     system = rootsys.build_root_system(args.family, *params)
     value = rootsys.defect(system)
@@ -99,6 +115,8 @@ def _cmd_defect(args):
 
 
 def _cmd_c_table(args):
+    from . import qlocal
+
     rows = []
     lines = []
     for n in range(args.nmax + 1):
@@ -108,6 +126,8 @@ def _cmd_c_table(args):
     rules = ["q-grassmannian-subset-sum-closed-form"]
     agrees = True
     if args.brute:
+        from . import verify
+
         brute_max = min(args.nmax, 12)
         table = qlocal.brute_c_table(brute_max, args.seed, args.samples)
         agrees = verify.check_c_table(table, brute_max, args.samples).passed
@@ -119,6 +139,8 @@ def _cmd_c_table(args):
 
 
 def _cmd_localize(args):
+    from . import qlocal
+
     vectors = qlocal.seeded_param_vectors(args.n, args.samples, args.seed)
     sums = [qlocal.gl_localization(args.r, args.n, a) for a in vectors]
     expected = math.comb(args.n, args.r)
@@ -134,6 +156,8 @@ def _cmd_localize(args):
 
 
 def _cmd_splitting(args):
+    from . import splitting
+
     if args.kind == "gl":
         check = splitting.is_splitting_levi_gl(args.r, args.s, args.m, args.n)
         params = {"r": args.r, "s": args.s, "m": args.m, "n": args.n}
@@ -150,6 +174,8 @@ def _cmd_splitting(args):
 
 
 def _cmd_chain(args):
+    from . import splitting
+
     family = splitting.GL if args.family == "GL" else splitting.Q
     group = family(*args.params)
     chain = splitting.minimal_chain(group)
@@ -167,13 +193,15 @@ def _cmd_chain(args):
 
 
 def _cmd_casimir(args):
+    from . import exactnum, sympair
+
     if args.pair == "osp":
         pair = sympair.osp_pair(args.m, args.n)
     elif args.pair == "g12":
         pair = sympair.g12_pair()
     else:
         pair = sympair.f31_pair()
-    weight = [as_fraction(x) for x in args.weight.split(",")]
+    weight = [exactnum.as_fraction(x) for x in args.weight.split(",")]
     value = sympair.casimir_eigenvalue(pair, weight)
     positive = sympair.positivity_check(pair, weight)
     _emit(args, "casimir",
@@ -185,6 +213,8 @@ def _cmd_casimir(args):
 
 
 def _cmd_verify(args):
+    from . import verify
+
     results = verify.run_all(seed=args.seed, max_n_grass=args.max_n,
                              max_n_c=args.max_n_c)
     passed = sum(1 for r in results if r.passed)
@@ -201,12 +231,15 @@ def _cmd_verify(args):
     return 0 if passed == len(results) else 1
 
 
-def _int_at_least(low: int):
-    """An argparse ``type`` that rejects integers below ``low`` (exit 2)."""
+def _int_in_range(low: int, high: int | None = None):
+    """An argparse ``type`` that rejects integers outside [low, high]
+    (exit 2); ``high=None`` leaves the range unbounded above."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     parse.__name__ = "int"
     return parse
@@ -235,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--brute", action="store_true",
                    help="also run the brute-force subset sum")
-    p.add_argument("--samples", type=_int_at_least(1), default=3)
+    p.add_argument("--samples", type=_int_in_range(1), default=3)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("sdim", _cmd_sdim, "superdimension of Gr(r|s, m|n)")
@@ -253,15 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "negative values go after '--', e.g. 'd21a -- -1/2'")
 
     p = add("c-table", _cmd_c_table, "closed-form localization constants C(r, n)")
-    p.add_argument("nmax", type=_int_at_least(0))
+    p.add_argument("nmax", type=_int_in_range(0))
     p.add_argument("--brute", action="store_true")
-    p.add_argument("--samples", type=_int_at_least(1), default=3)
+    p.add_argument("--samples", type=_int_in_range(1), default=3)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("localize", _cmd_localize, "equal-rank localization fixed-point sum")
     p.add_argument("r", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--samples", type=_int_at_least(1), default=3)
+    p.add_argument("--samples", type=_int_in_range(1), default=3)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("splitting", _cmd_splitting, "Levi splitting predicate")
@@ -283,10 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, "run every identity sweep")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--max-n", type=_int_at_least(0), default=6,
-                   help="exhaustive bound for grassmannian sweeps")
-    p.add_argument("--max-n-c", type=_int_at_least(0), default=12,
-                   help="brute-force bound for the subset-sum sweeps")
+    p.add_argument("--max-n", type=_int_in_range(0, MAX_N_GRASS), default=6,
+                   help="exhaustive bound for grassmannian sweeps "
+                        f"(0 to {MAX_N_GRASS})")
+    p.add_argument("--max-n-c", type=_int_in_range(0, MAX_N_C), default=12,
+                   help="brute-force bound for the subset-sum sweeps "
+                        f"(0 to {MAX_N_C})")
 
     return parser
 

@@ -25,8 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-Rational = Fraction
-
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
@@ -39,19 +37,20 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def reject_tuple_arithmetic(self, other):
+    """Raise TypeError.  Bound as the ``+`` and ``*`` operators that the
+    NamedTuple value types do not define themselves, so that these never
+    fall back to tuple concatenation or repetition."""
+    raise TypeError(f"unsupported operand types for arithmetic: "
+                    f"{type(self).__name__!r} and {type(other).__name__!r}")
+
+
 def mat(rows) -> Matrix:
     """Normalize a matrix-like nested sequence to tuples of Fractions."""
     out = tuple(tuple(as_fraction(x) for x in row) for row in rows)
     if out and any(len(row) != len(out[0]) for row in out):
         raise ValueError("ragged matrix")
     return out
-
-
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
 
 
 def transpose(m) -> Matrix:

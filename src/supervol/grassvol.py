@@ -15,11 +15,10 @@ untouched, since no normalization for them is ever needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import as_fraction
+from .exactnum import as_fraction, reject_tuple_arithmetic
 
 
 class SuperDim(NamedTuple):
@@ -27,18 +26,27 @@ class SuperDim(NamedTuple):
     odd: int
 
 
-@dataclass(frozen=True)
-class GrassSpec:
-    """Parameters of Gr(r|s, m|n): (r|s)-dimensional subspaces of C^(m|n)."""
-
+class _GrassFields(NamedTuple):
     r: int
     s: int
     m: int
     n: int
 
-    def __post_init__(self):
-        if not (0 <= self.r <= self.m and 0 <= self.s <= self.n):
+
+class GrassSpec(_GrassFields):
+    """Parameters of Gr(r|s, m|n): (r|s)-dimensional subspaces of C^(m|n)."""
+
+    __slots__ = ()
+
+    def __new__(cls, r: int, s: int, m: int, n: int):
+        if not (0 <= r <= m and 0 <= s <= n):
             raise ValueError("require 0 <= r <= m and 0 <= s <= n")
+        return super().__new__(cls, r, s, m, n)
+
+    @classmethod
+    def _make(cls, iterable) -> "GrassSpec":
+        # the inherited _make, behind _replace, skips __new__'s check
+        return cls(*iterable)
 
     def complement(self) -> "GrassSpec":
         return GrassSpec(self.m - self.r, self.n - self.s, self.m, self.n)
@@ -79,8 +87,7 @@ def _canonical_atoms(raw: dict[tuple[int, int], int]) -> tuple[tuple[int, int, i
     )
 
 
-@dataclass(frozen=True)
-class VolumeExpr:
+class VolumeExpr(NamedTuple):
     """sign*rational x (2pi)^k x product of classical atoms V(a,b)^e.
 
     Always stored in canonical form; the zero expression has no power and
@@ -90,6 +97,8 @@ class VolumeExpr:
     coeff: Fraction
     two_pi_power: int
     atoms: tuple[tuple[int, int, int], ...]
+
+    __add__ = __radd__ = __rmul__ = reject_tuple_arithmetic
 
     @staticmethod
     def make(coeff, two_pi_power: int = 0, atoms=()) -> "VolumeExpr":

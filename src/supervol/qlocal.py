@@ -29,9 +29,8 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactnum import as_fraction
 
@@ -108,8 +107,7 @@ def alpha_subset(subset: Iterable[int], a: Sequence) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class LocalizationReport:
+class LocalizationReport(NamedTuple):
     """Subset-sum values across parameter samples and their consensus."""
 
     n: int

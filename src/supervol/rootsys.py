@@ -23,10 +23,10 @@ Supported families:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .exactnum import as_fraction, inertia, rank
+from .exactnum import as_fraction, inertia, rank, reject_tuple_arithmetic
 
 EVEN = "even"
 ODD = "odd"
@@ -36,17 +36,17 @@ MIXED = "mixed"  # q(n) only: root space of dimension (1|1)
 SEARCH_NODE_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     coords: tuple[Fraction, ...]
     parity: str
 
     def __neg__(self) -> "Root":
         return Root(tuple(-c for c in self.coords), self.parity)
 
+    __add__ = __radd__ = __mul__ = __rmul__ = reject_tuple_arithmetic
 
-@dataclass(frozen=True)
-class RootSystem:
+
+class RootSystem(NamedTuple):
     family: str
     params: tuple
     gram: tuple[tuple[Fraction, ...], ...]

@@ -14,10 +14,10 @@ minimal splitting subgroup: SL(1|1)^min(m,n) for GL(m|n), and Q(2)^d
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import grassvol
+from .exactnum import reject_tuple_arithmetic
 
 RULE_LEVI_GL = "LEVI_GL"
 RULE_LEVI_Q = "LEVI_Q"
@@ -53,8 +53,7 @@ def _atom_dims(atom: Atom) -> tuple[int, int]:
     return n * n, n * n
 
 
-@dataclass(frozen=True)
-class GroupDesc:
+class GroupDesc(NamedTuple):
     """A finite product of GL(m|n), SL(m|n), and Q(n) factors.
 
     Trivial factors are dropped and nested products flattened, so equal
@@ -65,6 +64,8 @@ class GroupDesc:
 
     def __mul__(self, other: "GroupDesc") -> "GroupDesc":
         return GroupDesc(self.factors + other.factors)
+
+    __add__ = __radd__ = __rmul__ = reject_tuple_arithmetic
 
     @property
     def even_dim(self) -> int:
@@ -147,8 +148,7 @@ def sdim_necessity(g_dims: tuple[int, int], k_dims: tuple[int, int]) -> bool:
     return (ge - ke) - (go - ko) >= 0
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     """One certified inclusion sub < sup with its rule and witness data."""
 
     sub: GroupDesc
@@ -219,8 +219,7 @@ def _removed_factors(sup: GroupDesc, sub: GroupDesc):
     return removed if sub_idx == len(sub.factors) else None
 
 
-@dataclass(frozen=True)
-class SubgroupChain:
+class SubgroupChain(NamedTuple):
     """A chain bottom = H_0 < H_1 < ... < H_k = top of certified steps."""
 
     top: GroupDesc

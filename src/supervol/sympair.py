@@ -16,16 +16,15 @@ by eps1, eps2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import as_fraction, inertia, inverse, mat
 
 Vector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class RestrictedPair:
+class RestrictedPair(NamedTuple):
     """Restricted-root data of a rank-k symmetric pair.
 
     Weights are written in the basis of the simple restricted roots, so
@@ -166,14 +165,3 @@ def d21a_in_a_star(l: int) -> bool:
     """Whether the l-th principal-block weight lies in span(eps1, eps2)."""
     return d21a_weight(l)[2] == 0
 
-
-def d21a_extension_edges(lmax: int) -> list[tuple[int, int]]:
-    """Adjacency of the principal-block extension graph up to lmax.
-
-    The graph is a double-tailed chain: 0-2, 1-2, then l-(l+1) for l >= 2.
-    """
-    edges = []
-    if lmax >= 2:
-        edges += [(0, 2), (1, 2)]
-    edges += [(l, l + 1) for l in range(2, lmax)]
-    return edges

@@ -1,12 +1,12 @@
 import contextlib
-import dataclasses
 import io
 import json
+import math
 from fractions import Fraction
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supervol import cli, qlocal, rootsys
@@ -20,11 +20,16 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_json(capsys, *argv):
-    code, out, err = run_cli(capsys, *argv, "--format", "json")
-    assert code == 0, err
-    envelope = json.loads(out)
+def main_json(*argv):
+    """The schema-checked JSON envelope of one successful CLI call.  It
+    needs no fixture, so Hypothesis tests can use it too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([argv[0], "--format", "json", *argv[1:]])
+    assert code == 0, err.getvalue()
+    envelope = json.loads(out.getvalue())
     jsonschema.validate(envelope, ENVELOPE_SCHEMA)
+    assert envelope["command"] == argv[0]
     return envelope
 
 
@@ -35,7 +40,7 @@ def test_volume_text(capsys):
 
 
 def test_volume_json_round_trip(capsys):
-    envelope = run_json(capsys, "volume", "1", "1", "2", "2")
+    envelope = main_json("volume", "1", "1", "2", "2")
     jsonschema.validate(envelope["result"], VOLUME_EXPR_SCHEMA)
     expr = VolumeExpr.from_payload(envelope["result"])
     assert expr == VolumeExpr.make(2, 2)
@@ -45,8 +50,8 @@ def test_volume_json_round_trip(capsys):
     assert expr.render() == text.strip()
 
 
-def test_volume_json_with_atoms(capsys):
-    envelope = run_json(capsys, "volume", "2", "1", "4", "2")
+def test_volume_json_with_atoms():
+    envelope = main_json("volume", "2", "1", "4", "2")
     jsonschema.validate(envelope["result"], VOLUME_EXPR_SCHEMA)
     assert envelope["result"]["coeff"] == "-2"
     assert envelope["result"]["two_pi_power"] == 4
@@ -57,7 +62,7 @@ def test_qvolume(capsys):
     code, out, _ = run_cli(capsys, "qvolume", "1", "2")
     assert code == 0
     assert "C(1,2) = 0" in out and "volume = 0" in out
-    envelope = run_json(capsys, "qvolume", "2", "4", "--brute")
+    envelope = main_json("qvolume", "2", "4", "--brute")
     assert envelope["result"]["c"] == "2"
     assert envelope["result"]["brute_force_agrees_with_closed_form"] is True
     assert envelope["result"]["volume"]["two_pi_power"] == 8
@@ -66,18 +71,18 @@ def test_qvolume(capsys):
 def test_sdim_and_dims(capsys):
     code, out, _ = run_cli(capsys, "sdim", "2", "0", "3", "4")
     assert code == 0 and out.strip() == "-6"
-    envelope = run_json(capsys, "dims", "1", "1", "2", "2")
+    envelope = main_json("dims", "1", "1", "2", "2")
     assert envelope["result"] == {"even": 2, "odd": 2}
 
 
 def test_defect(capsys):
     code, out, _ = run_cli(capsys, "defect", "gl", "2", "3")
     assert code == 0 and out.strip() == "2"
-    envelope = run_json(capsys, "defect", "d21a", "1/2")
+    envelope = main_json("defect", "d21a", "1/2")
     assert envelope["result"] == 1
     code, out, _ = run_cli(capsys, "defect", "g3")
     assert code == 0 and out.strip() == "1"
-    envelope = run_json(capsys, "defect", "gl", "8", "8")
+    envelope = main_json("defect", "gl", "8", "8")
     assert envelope["result"] == 8
     assert envelope["rules"] == ["witt-index-bound"]
 
@@ -85,7 +90,7 @@ def test_defect(capsys):
 def test_defect_rules_and_budget(capsys, monkeypatch):
     bound = rootsys.witt_index
     monkeypatch.setattr(rootsys, "witt_index", lambda system: bound(system) + 1)
-    envelope = run_json(capsys, "defect", "gl", "2", "3")
+    envelope = main_json("defect", "gl", "2", "3")
     assert envelope["result"] == 2
     assert envelope["rules"] == ["maximal-orthogonal-isotropic-search"]
     monkeypatch.setattr(rootsys, "SEARCH_NODE_BUDGET", 1)
@@ -94,43 +99,43 @@ def test_defect_rules_and_budget(capsys, monkeypatch):
     assert "defect search on gl(2, 3) exceeded 1 nodes" in err
 
 
-def test_c_table(capsys):
-    envelope = run_json(capsys, "c-table", "4", "--brute")
+def test_c_table():
+    envelope = main_json("c-table", "4", "--brute")
     rows = envelope["result"]
     assert rows[2]["values"] == [1, 0, 1]
     assert rows[-1]["brute_force_agrees"] is True
 
 
-def test_localize(capsys):
-    envelope = run_json(capsys, "localize", "2", "4")
+def test_localize():
+    envelope = main_json("localize", "2", "4")
     assert envelope["result"]["fixed_points"] == 6
     assert envelope["result"]["all_samples_agree"] is True
 
 
-def test_splitting_predicates(capsys):
-    envelope = run_json(capsys, "splitting", "gl", "2", "0", "3", "4")
+def test_splitting_predicates():
+    envelope = main_json("splitting", "gl", "2", "0", "3", "4")
     assert envelope["result"] == {"splitting": False, "sdim": -6}
-    envelope = run_json(capsys, "splitting", "q", "1", "2")
+    envelope = main_json("splitting", "q", "1", "2")
     assert envelope["result"] == {"splitting": False, "parity_product": 1}
-    envelope = run_json(capsys, "splitting", "q", "1", "3")
+    envelope = main_json("splitting", "q", "1", "3")
     assert envelope["result"]["splitting"] is True
 
 
-def test_chain_gl32_json(capsys):
-    envelope = run_json(capsys, "chain", "GL", "3", "2")
+def test_chain_gl32_json():
+    envelope = main_json("chain", "GL", "3", "2")
     result = envelope["result"]
     assert result["validated"] is True
     assert result["bottom"] == "SL(1|1)^2"
     assert len(result["steps"]) == 4
-    envelope = run_json(capsys, "chain", "Q", "5")
+    envelope = main_json("chain", "Q", "5")
     assert envelope["result"]["bottom"] == "Q(2)^2×Q(1)"
 
 
-def test_casimir(capsys):
-    envelope = run_json(capsys, "casimir", "g12", "1,0")
+def test_casimir():
+    envelope = main_json("casimir", "g12", "1,0")
     assert envelope["result"] == {"eigenvalue": "12", "positive": True,
                                   "dominant": False}
-    envelope = run_json(capsys, "casimir", "osp", "1", "--m", "1", "--n", "3")
+    envelope = main_json("casimir", "osp", "1", "--m", "1", "--n", "3")
     assert envelope["result"]["positive"] is True
 
 
@@ -161,13 +166,8 @@ def _casimir_cases(draw):
 @given(_casimir_cases())
 def test_casimir_json_matches_gram_formula(case):
     choice, opts, gram, rho, weight = case
-    argv = ["casimir", choice, *opts, "--format", "json", "--",
-            ",".join(str(w) for w in weight)]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(argv) == 0
-    envelope = json.loads(out.getvalue())
-    jsonschema.validate(envelope, ENVELOPE_SCHEMA)
+    envelope = main_json("casimir", choice, *opts, "--",
+                         ",".join(str(w) for w in weight))
     k = len(gram)
     value = sum((weight[i] + 2 * rho[i]) * gram[i][j] * weight[j]
                 for i in range(k) for j in range(k))
@@ -176,6 +176,163 @@ def test_casimir_json_matches_gram_formula(case):
     assert envelope["params"]["weight"] == [str(w) for w in weight]
     assert envelope["result"] == {"eigenvalue": str(Fraction(value)),
                                   "positive": value > 0, "dominant": dominant}
+
+
+# Each verb's JSON result against its formula, written out here
+# independently of supervol, on small random inputs.
+
+@st.composite
+def _grass_args(draw, top=5):
+    m, n = draw(st.integers(0, top)), draw(st.integers(0, top))
+    return draw(st.integers(0, m)), draw(st.integers(0, n)), m, n
+
+
+def _sdim(r, s, m, n):
+    return (r - s) * ((m - r) - (n - s))
+
+
+def _volume_formula(r, s, m, n):
+    """Zero for negative sdim, else (-1)^(s(m+n+r+s)) binom(n, s)
+    (2pi)^odd V(r-s, m-n) after the swap to r > s, or r = s and m >= n."""
+    if _sdim(r, s, m, n) < 0:
+        return {"coeff": "0", "two_pi_power": 0, "atoms": []}
+    if r < s or (r == s and m < n):
+        r, s, m, n = s, r, n, m
+    a, b = r - s, m - n
+    atoms = [] if a in (0, b) else [{"a": min(a, b - a), "b": b, "exp": 1}]
+    return {"coeff": str((-1) ** (s * (m + n + r + s)) * math.comb(n, s)),
+            "two_pi_power": r * (n - s) + s * (m - r), "atoms": atoms}
+
+
+def _gaussian_binomial_at_minus_one(n, r):
+    """[n choose r]_t at t = -1 by the q-Pascal rule
+    [n, r] = [n-1, r-1] + t^r [n-1, r]; it equals C(r, n)."""
+    if r < 0 or r > n:
+        return 0
+    if r in (0, n):
+        return 1
+    return (_gaussian_binomial_at_minus_one(n - 1, r - 1)
+            + (-1) ** r * _gaussian_binomial_at_minus_one(n - 1, r))
+
+
+def _label(atom, k):
+    return atom + (f"^{k}" if k > 1 else "")
+
+
+@settings(max_examples=30, deadline=None)
+@given(_grass_args())
+@example((2, 1, 4, 2))  # a negative sign and an atom
+def test_volume_json_matches_formula(args):
+    envelope = main_json("volume", *map(str, args))
+    jsonschema.validate(envelope["result"], VOLUME_EXPR_SCHEMA)
+    assert envelope["result"] == _volume_formula(*args)
+    assert envelope["params"] == dict(zip("rsmn", args))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_grass_args())
+def test_sdim_json_matches_formula(args):
+    assert main_json("sdim", *map(str, args))["result"] == _sdim(*args)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_grass_args())
+def test_dims_json_matches_formula(args):
+    r, s, m, n = args
+    assert main_json("dims", *map(str, args))["result"] == {
+        "even": r * (m - r) + s * (n - s), "odd": r * (n - s) + s * (m - r)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(_grass_args())
+def test_splitting_gl_json_matches_formula(args):
+    value = _sdim(*args)
+    assert main_json("splitting", "gl", *map(str, args))["result"] == {
+        "splitting": value >= 0, "sdim": value}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+def test_splitting_q_json_matches_formula(args):
+    r, n = args
+    assert main_json("splitting", "q", str(r), str(n))["result"] == {
+        "splitting": r * (n - r) % 2 == 0, "parity_product": r * (n - r)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6))
+def test_chain_gl_json_matches_formula(m, n):
+    result = main_json("chain", "GL", str(m), str(n))["result"]
+    d = min(m, n)
+    # bottom-up: SL(1|1)^d < GL(1|1)^d [< GL(1|1)^d x GL(m-d|n-d)] < ... < GL(m|n)
+    if (m, n) == (0, 0):
+        rules = []
+    elif d == 0:
+        rules = ["ODD_PARTS_EQUAL"]
+    else:
+        rules = (["ODD_PARTS_EQUAL"] + (["FACTOR_SPLIT"] if m != n else [])
+                 + ["LEVI_GL"] * (d if m != n else d - 1))
+    assert [step["rule"] for step in result["steps"]] == rules
+    assert result["top"] == ("1" if (m, n) == (0, 0) else f"GL({m}|{n})")
+    assert result["bottom"] == (_label("SL(1|1)", d) if d else "1")
+    assert result["groups"][0] == result["bottom"]
+    assert result["groups"][-1] == result["top"]
+    assert result["validated"] is True
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 12))
+def test_chain_q_json_matches_formula(n):
+    result = main_json("chain", "Q", str(n))["result"]
+    k = (n - 1) // 2 if n else 0  # Q(2) factors peeled off
+    assert [step["rule"] for step in result["steps"]] == ["LEVI_Q"] * k
+    if n == 0:
+        bottom = "1"
+    elif n % 2:
+        bottom = "×".join(([_label("Q(2)", k)] if k else []) + ["Q(1)"])
+    else:
+        bottom = _label("Q(2)", n // 2)
+    assert result["bottom"] == bottom
+    assert result["top"] == ("1" if n == 0 else f"Q({n})")
+    assert result["validated"] is True
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+def test_qvolume_json_matches_formula(args):
+    r, n = args
+    c = _gaussian_binomial_at_minus_one(n, r)
+    assert main_json("qvolume", str(r), str(n))["result"] == {
+        "c": str(c), "volume": {"coeff": str(c), "atoms": [],
+                                "two_pi_power": 2 * r * (n - r) if c else 0}}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 12))
+def test_c_table_json_matches_formula(nmax):
+    assert main_json("c-table", str(nmax))["result"] == [
+        {"n": n, "values": [_gaussian_binomial_at_minus_one(n, r) for r in range(n + 1)]}
+        for n in range(nmax + 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))),
+       st.integers(1, 3), st.integers(0, 10 ** 6))
+def test_localize_json_matches_formula(args, samples, seed):
+    r, n = args
+    envelope = main_json("localize", str(r), str(n), "--samples", str(samples),
+                         "--seed", str(seed))
+    assert envelope["result"] == {"sum": str(math.comb(n, r)),
+                                  "fixed_points": math.comb(n, r),
+                                  "all_samples_agree": True}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4))
+def test_defect_gl_json_matches_formula(m, n):
+    envelope = main_json("defect", "gl", str(m), str(n))
+    assert envelope["result"] == min(m, n)
+    assert envelope["params"] == {"family": "gl", "params": [str(m), str(n)]}
 
 
 def test_domain_error_exit_code(capsys):
@@ -193,7 +350,8 @@ def test_usage_error_exit_code(capsys):
                  ["splitting", "gl", "1", "1"], ["splitting", "q", "1", "2", "3", "4"],
                  ["chain", "GL", "3"], ["chain", "Q", "1", "2"], ["chain", "SL", "2"],
                  ["casimir", "osp", "1"], ["casimir", "osp", "1", "--m", "1"],
-                 ["casimir", "g12", "1,0", "--m", "1"]):
+                 ["casimir", "g12", "1,0", "--m", "1"],
+                 ["verify", "--max-n-c", "15"], ["verify", "--max-n", "17"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
@@ -224,7 +382,7 @@ def test_disagreement_exits_one(capsys, monkeypatch):
 
     def off_by_one(r, n, samples):
         report = real(r, n, samples)
-        return dataclasses.replace(report, consensus=report.consensus + 1)
+        return report._replace(consensus=report.consensus + 1)
 
     monkeypatch.setattr(qlocal, "c_bruteforce", off_by_one)
     code, out, _ = run_cli(capsys, "c-table", "3", "--brute")

@@ -28,6 +28,9 @@ def test_spec_validation():
         GrassSpec(3, 0, 2, 2)
     with pytest.raises(ValueError):
         GrassSpec(0, 3, 2, 2)
+    assert GrassSpec(1, 1, 2, 2)._replace(m=3) == GrassSpec(1, 1, 3, 2)
+    with pytest.raises(ValueError):
+        GrassSpec(1, 1, 2, 2)._replace(r=3)
 
 
 def test_dims_examples():
@@ -143,6 +146,10 @@ def test_expression_arithmetic():
     assert (a * b) / b == a
     with pytest.raises(ZeroDivisionError):
         a / VolumeExpr.zero()
+    # a NamedTuple must not fall back to tuple concatenation or repetition
+    for bad in (lambda: a + b, lambda: (1,) + a, lambda: 3 * a, lambda: (1,) * a):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_json_round_trip():

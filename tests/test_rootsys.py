@@ -76,6 +76,12 @@ def test_negation_closure():
         cs = coords_set(system.roots)
         assert cs == {tuple(-c for c in v) for v in cs}
         assert all(any(c != 0 for c in r.coords) for r in system.roots)
+    root = system.roots[0]
+    assert (-root).coords == tuple(-c for c in root.coords)
+    # a NamedTuple must not fall back to tuple concatenation or repetition
+    for bad in (lambda: root + root, lambda: root * 2, lambda: 2 * root):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_isotropic_roots_gl():

@@ -32,6 +32,10 @@ def test_group_desc_normalization():
     assert GL(2, 1).label() == "GL(2|1)"
     assert (power(GL(1, 1), 2) * GL(3, 0)).label() == "GL(1|1)^2×GL(3|0)"
     assert trivial().label() == "1"
+    # a NamedTuple must not fall back to tuple concatenation or repetition
+    for bad in (lambda: GL(1, 1) + Q(2), lambda: 3 * GL(1, 1)):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_group_dims():

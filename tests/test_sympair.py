@@ -6,7 +6,6 @@ from supervol import sympair
 from supervol.sympair import (
     builtin_pairs,
     casimir_eigenvalue,
-    d21a_extension_edges,
     d21a_in_a_star,
     d21a_weight,
     f31_pair,
@@ -116,9 +115,3 @@ def test_d21a_weight_values():
 def test_d21a_in_a_star_iff_l_at_most_one():
     for l in range(101):
         assert d21a_in_a_star(l) == (l <= 1)
-
-
-def test_d21a_extension_edges():
-    assert d21a_extension_edges(1) == []
-    assert d21a_extension_edges(2) == [(0, 2), (1, 2)]
-    assert d21a_extension_edges(5) == [(0, 2), (1, 2), (2, 3), (3, 4), (4, 5)]
