@@ -29,6 +29,8 @@ DEFAULT_SEED = 20240001
 # qlocal's n <= 14.
 MAX_N_GRASS = 16
 MAX_N_C = 14
+# Parameters each ``defect`` family takes; another count exits 2.
+DEFECT_PARAM_COUNTS = {"gl": 2, "sl": 2, "osp": 2, "d21a": 1, "g3": 0, "f4": 0}
 
 
 def _emit(args, command: str, params: dict, result, rules: list[str], text: str):
@@ -280,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(arg, type=int)
 
     p = add("defect", _cmd_defect, "defect of a root system family")
-    p.add_argument("family", choices=("gl", "sl", "osp", "d21a", "g3", "f4"))
+    p.add_argument("family", choices=tuple(DEFECT_PARAM_COUNTS))
     p.add_argument("params", nargs="*",
                    help="family parameters, e.g. 'gl 2 3' or 'd21a 1/2'; "
                         "negative values go after '--', e.g. 'd21a -- -1/2'")
@@ -338,6 +340,11 @@ def _normalize_args(parser, args):
             if args.m is not None or args.n is not None:
                 parser.error("splitting q requires r n only")
             args.n = args.s_or_n
+    elif args.verb == "defect":
+        count = DEFECT_PARAM_COUNTS[args.family]
+        if len(args.params) != count:
+            parser.error(f"defect {args.family} requires {count} parameter"
+                         f"{'' if count == 1 else 's'}, got {len(args.params)}")
     elif args.verb == "chain":
         if args.family == "GL" and len(args.params) != 2:
             parser.error("chain GL requires m and n")

@@ -145,27 +145,30 @@ def c_closed(r: int, n: int) -> int:
     return math.comb(n // 2, r // 2)
 
 
-def check_recursions(value: Callable[[int, int], int | Fraction], nmax: int) -> bool:
-    """Both recursions on the values ``value(r, n)``, for all
-    1 <= r <= n <= nmax:
+def recursions_hold(value: Callable[[int, int], int | Fraction], r: int, n: int) -> bool:
+    """Both recursions on the values ``value(r, n)`` at one 1 <= r <= n:
 
     C(r,n) = C(r,n-1) + (-1)^(n-r) C(r-1,n-1)  and
     C(r,n) = (-1)^(r(n-r)) C(n-r,n).
+    """
+    if not 1 <= r <= n:
+        raise ValueError("require 1 <= r <= n")
+    here = value(r, n)
+    step = value(r, n - 1) if r <= n - 1 else 0
+    return (here == step + (-1) ** ((n - r) % 2) * value(r - 1, n - 1)
+            and here == (-1) ** ((r * (n - r)) % 2) * value(n - r, n))
+
+
+def check_recursions(value: Callable[[int, int], int | Fraction], nmax: int) -> bool:
+    """``recursions_hold`` for all 1 <= r <= n <= nmax.
 
     Pass ``c_closed`` for the closed form, or
     ``lambda r, n: table[(r, n)]`` for a precomputed table.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    for n in range(1, nmax + 1):
-        for r in range(1, n + 1):
-            step = value(r, n - 1) if r <= n - 1 else 0
-            down = value(r - 1, n - 1)
-            if value(r, n) != step + (-1) ** ((n - r) % 2) * down:
-                return False
-            if value(r, n) != (-1) ** ((r * (n - r)) % 2) * value(n - r, n):
-                return False
-    return True
+    return all(recursions_hold(value, r, n)
+               for n in range(1, nmax + 1) for r in range(1, n + 1))
 
 
 def brute_c_table(nmax: int, seed: int, count: int = 3) -> dict[tuple[int, int], Fraction]:

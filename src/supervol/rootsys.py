@@ -15,9 +15,10 @@ Supported families:
   with diagonal form (+1^m, -1^n);
 * ``osp`` -- osp(M|2n);
 * ``d21a`` -- the one-parameter family D(2,1;alpha), alpha not in {0, -1};
-* ``g3``, ``f4`` -- the two exceptional families, as literal tables;
-* ``q`` -- q(n), whose roots carry multiplicity (1|1) and which is not
-  contragredient (isotropy and defect are undefined for it here).
+* ``g3``, ``f4`` -- the two exceptional families, as literal tables.
+
+q(n) is not contragredient; its splitting is decided by the parity
+criteria in ``splitting``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .exactnum import as_fraction, inertia, rank, reject_tuple_arithmetic
 
 EVEN = "even"
 ODD = "odd"
-MIXED = "mixed"  # q(n) only: root space of dimension (1|1)
 
 # Node cap of the defect search; past it the search raises ValueError.
 SEARCH_NODE_BUDGET = 10 ** 6
@@ -51,7 +51,6 @@ class RootSystem(NamedTuple):
     params: tuple
     gram: tuple[tuple[Fraction, ...], ...]
     roots: tuple[Root, ...]
-    contragredient: bool = True
 
     @property
     def dim(self) -> int:
@@ -164,20 +163,12 @@ def _f4_roots() -> tuple[Root, ...]:
     return _with_negatives(pos)
 
 
-def _q_roots(n: int) -> tuple[Root, ...]:
-    pos = [
-        Root(_basis_vec(n, {i: 1, j: -1}), MIXED)
-        for i, j in itertools.combinations(range(n), 2)
-    ]
-    return _with_negatives(pos)
-
-
 def build_root_system(family: str, *params) -> RootSystem:
     """Construct the root system of the named family.
 
     ``gl``/``sl`` take (m, n); ``osp`` takes (M, 2n); ``d21a`` takes the
     form parameter alpha (any Fraction-able value outside {0, -1});
-    ``g3`` and ``f4`` take no parameters; ``q`` takes (n,).
+    ``g3`` and ``f4`` take no parameters.
     """
     fam = family.lower()
     if fam in ("gl", "sl"):
@@ -211,12 +202,6 @@ def build_root_system(family: str, *params) -> RootSystem:
         if params:
             raise ValueError("f4 takes no parameters")
         return RootSystem(fam, (), _diag_gram([1, 1, 1, -3]), _f4_roots())
-    if fam == "q":
-        if len(params) != 1 or not isinstance(params[0], int) or params[0] < 0:
-            raise ValueError("q(n) requires an integer n >= 0")
-        n = params[0]
-        return RootSystem(fam, (n,), _diag_gram([1] * n), _q_roots(n),
-                          contragredient=False)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -234,14 +219,8 @@ def inner(system: RootSystem, v, w) -> Fraction:
     return total
 
 
-def _require_contragredient(system: RootSystem):
-    if not system.contragredient:
-        raise ValueError("isotropy undefined: q(n) handled by parity criteria")
-
-
 def isotropic_roots(system: RootSystem) -> tuple[Root, ...]:
     """Odd roots with vanishing self-pairing."""
-    _require_contragredient(system)
     return tuple(
         r for r in system.roots
         if r.parity == ODD and inner(system, r.coords, r.coords) == 0
@@ -323,7 +302,6 @@ def _max_orthogonal_independent(system: RootSystem, reps: list[Root]) -> list[Ro
 
 def defect(system: RootSystem) -> int:
     """Maximal number of mutually orthogonal, independent isotropic roots."""
-    _require_contragredient(system)
     return len(_max_orthogonal_independent(system, _positive_representatives(system)))
 
 

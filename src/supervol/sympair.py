@@ -1,9 +1,10 @@
 """Restricted-root data for three symmetric pairs and Casimir positivity.
 
 Each built-in pair is the rational Gram matrix (alpha_i, alpha_j) of the
-invariant form in the basis of its simple restricted roots, the weight
-rho (half the multiplicity-weighted positive-root sum, declared in
-simple-root coordinates), and the declared consecutive length ratios.
+invariant form in the basis of its simple restricted roots, checked
+against declared consecutive length ratios, and the weight rho (half the
+multiplicity-weighted positive-root sum, declared in simple-root
+coordinates).
 The quadratic Casimir acts on a highest-weight eigenfunction of weight
 lam by (lam + 2 rho, lam); for nonzero dominant weights this is strictly
 positive, which is the key inequality this module exposes.
@@ -35,7 +36,6 @@ class RestrictedPair(NamedTuple):
     name: str
     gram: tuple[tuple[Fraction, ...], ...]
     rho: Vector
-    length_ratios: tuple[Fraction, ...]
 
     @property
     def rank(self) -> int:
@@ -66,8 +66,7 @@ def _pair(name, gram_rows, rho_coeffs, ratios) -> RestrictedPair:
     for i, ratio in enumerate(ratios):
         if gram[i][i] != ratio * gram[i + 1][i + 1]:
             raise ValueError(f"{name}: declared length ratio mismatch")
-    return RestrictedPair(name, gram, tuple(as_fraction(c) for c in rho_coeffs),
-                          ratios)
+    return RestrictedPair(name, gram, tuple(as_fraction(c) for c in rho_coeffs))
 
 
 def osp_pair(m: int, n: int) -> RestrictedPair:

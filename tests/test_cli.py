@@ -343,6 +343,10 @@ def test_domain_error_exit_code(capsys):
     assert code == 1 and "n > m" in err
     code, _, err = run_cli(capsys, "casimir", "osp", "1", "--m", "-1", "--n", "3")
     assert code == 1 and "n > m >= 0" in err
+    for argv in (["gl", "--", "-1", "2"], ["osp", "3", "3"], ["d21a", "0"],
+                 ["d21a", "--", "-1"]):
+        code, _, err = run_cli(capsys, "defect", *argv)
+        assert code == 1 and "error:" in err, argv
 
 
 def test_usage_error_exit_code(capsys):
@@ -351,7 +355,9 @@ def test_usage_error_exit_code(capsys):
                  ["chain", "GL", "3"], ["chain", "Q", "1", "2"], ["chain", "SL", "2"],
                  ["casimir", "osp", "1"], ["casimir", "osp", "1", "--m", "1"],
                  ["casimir", "g12", "1,0", "--m", "1"],
-                 ["verify", "--max-n-c", "15"], ["verify", "--max-n", "17"]):
+                 ["verify", "--max-n-c", "15"], ["verify", "--max-n", "17"],
+                 ["defect", "gl", "2"], ["defect", "gl", "2", "3", "4"],
+                 ["defect", "g3", "1"], ["defect", "d21a"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
@@ -420,5 +426,5 @@ def test_verify_fails_when_no_recursion_case_is_covered(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     [recursions] = [e for e in lines if e.get("check") == "c-recursions-and-symmetry"]
     assert recursions["passed"] is False
-    assert "no (r, n) case covered" in recursions["detail"]
+    assert recursions["detail"].endswith("; part 2 of 2 covered no case")
     assert lines[-1] == {"passed": 19, "failed": 1}

@@ -12,6 +12,7 @@ from supervol.qlocal import (
     c_closed,
     check_recursions,
     gl_localization,
+    recursions_hold,
     random_params,
     seeded_param_vectors,
     validate_params,
@@ -120,6 +121,11 @@ def test_check_recursions():
     assert not check_recursions(lambda r, n: r, 1)  # breaks C(1,1) = C(0,0)
     with pytest.raises(ValueError):
         check_recursions(c_closed, 0)
+    assert recursions_hold(c_closed, 2, 4)
+    assert not recursions_hold(lambda r, n: 0 if (r, n) == (2, 4) else c_closed(r, n), 2, 4)
+    for r, n in ((0, 3), (4, 3)):
+        with pytest.raises(ValueError):
+            recursions_hold(c_closed, r, n)
     # symmetry at (r,n) = (1,3): C(1,3) = (-1)^2 C(2,3)
     assert c_closed(1, 3) == c_closed(2, 3) == 1
     # base case consistent with both recursions

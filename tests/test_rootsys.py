@@ -70,8 +70,7 @@ def test_inner_examples():
 
 def test_negation_closure():
     for family, params in (("gl", (2, 3)), ("osp", (3, 2)), ("osp", (4, 4)),
-                           ("d21a", (Fraction(2),)), ("g3", ()), ("f4", ()),
-                           ("q", (3,))):
+                           ("d21a", (Fraction(2),)), ("g3", ()), ("f4", ())):
         system = build_root_system(family, *params)
         cs = coords_set(system.roots)
         assert cs == {tuple(-c for c in v) for v in cs}
@@ -101,21 +100,6 @@ def test_isotropic_roots_osp32():
     # the odd non-isotropic roots +-delta are excluded
     odd = coords_set(r for r in system.roots if r.parity == ODD)
     assert (f(0), f(1)) in odd and (f(0), f(1)) not in iso
-
-
-def test_q_family_rejects_isotropy_queries():
-    system = build_root_system("q", 3)
-    with pytest.raises(ValueError, match="parity criteria"):
-        isotropic_roots(system)
-    with pytest.raises(ValueError, match="parity criteria"):
-        defect(system)
-
-
-def test_q_roots_are_mixed():
-    system = build_root_system("q", 3)
-    assert len(system.roots) == 6
-    assert all(r.parity == rootsys.MIXED for r in system.roots)
-    assert not system.contragredient
 
 
 def test_defect_exceptional_families():
@@ -206,8 +190,9 @@ def test_defect_subgroup_roots_are_orthogonal_isotropic():
 
 
 def test_invalid_families_and_params():
-    with pytest.raises(ValueError, match="unknown family"):
-        build_root_system("e8")
+    for family, params in (("e8", ()), ("q", (3,))):
+        with pytest.raises(ValueError, match="unknown family"):
+            build_root_system(family, *params)
     with pytest.raises(ValueError):
         build_root_system("gl", -1, 2)
     with pytest.raises(ValueError):

@@ -100,7 +100,7 @@ def test_fundamental_weights_are_dual_basis():
             assert not pair.is_dominant(tuple(-x for x in w))
     singular = sympair.RestrictedPair("singular", ((Fraction(1), Fraction(1)),
                                                    (Fraction(1), Fraction(1))),
-                                      (Fraction(1), Fraction(1)), ())
+                                      (Fraction(1), Fraction(1)))
     with pytest.raises(ValueError):
         fundamental_weights(singular)
 

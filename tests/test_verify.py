@@ -1,4 +1,6 @@
-from supervol import verify
+import re
+
+from supervol import qlocal, verify
 
 
 def test_run_all_calls_every_check_once(monkeypatch):
@@ -17,3 +19,20 @@ def test_run_all_calls_every_check_once(monkeypatch):
     assert calls == {name: 1 for name in names}
     assert len({r.name for r in results}) == len(results) == 20
     assert all(r.passed for r in results)
+    assert all(re.search(r"; \d+ cases, \d+ failures", r.detail) for r in results)
+
+
+def test_check_with_an_empty_part_fails():
+    result = verify.check_chains(-1, 10)
+    assert not result.passed
+    assert result.detail.endswith("0 failures; part 1 of 2 covered no case")
+    assert verify.check_chains(5, 10).passed
+
+
+def test_broken_case_fails_and_is_named_first(monkeypatch):
+    real = qlocal.c_closed
+    monkeypatch.setattr(qlocal, "c_closed",
+                        lambda r, n: 0 if (r, n) == (2, 4) else real(r, n))
+    result = verify.check_c_vanishing(20)
+    assert not result.passed
+    assert result.detail == "n <= 20; 231 cases, 1 failures, first (2, 4)"
