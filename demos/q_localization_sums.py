@@ -5,13 +5,15 @@ An invariant integral over these spaces reduces to a finite sum over
 fixed points.  For the Q-grassmannian the per-point contribution is a
 rational function of generic parameters a_1..a_n, yet the total sum
 C(r, n) is an integer independent of them; this script watches that
-happen and checks the closed form and its recursions.
+happen and checks the closed form against the Gaussian binomial at t = -1,
+the value of the t-deformed sum.
 """
 
 from fractions import Fraction
 
-from supervol import alpha_subset, c_bruteforce, c_closed, gl_localization
-from supervol.qlocal import check_recursions, seeded_param_vectors
+from supervol import (alpha_subset, c_bruteforce, c_closed, gaussian_binomial,
+                      gl_localization, localization_sum)
+from supervol.qlocal import seeded_param_vectors
 
 
 def main():
@@ -33,9 +35,14 @@ def main():
         print(f"n={n}: {row}")
     print("zeros exactly where r(n-r) is odd")
 
-    print("\n== recursions hold ==")
-    holds = check_recursions(c_closed, 20)
-    print(f"closed form satisfies both recursions to n = 20: {holds}")
+    print("\n== C(r, n) is the Gaussian binomial at t = -1 ==")
+    holds = all(c_closed(r, n) == gaussian_binomial(n, r, -1)
+                for n in range(21) for r in range(n + 1))
+    print(f"closed form equals [n choose r]_(-1) to n = 20: {holds}")
+    print("so it obeys q-Pascal and the symmetry [n choose r]_t = [n choose n-r]_t")
+    deformed = localization_sum(2, 4, a, 2)
+    print(f"deformed sum at t = 2: localization_sum(2, 4, a, 2) = {deformed}"
+          f" = [4 choose 2]_2 = {gaussian_binomial(4, 2, 2)}")
 
     print("\n== equal-rank localization just counts fixed points ==")
     for (r, n) in ((1, 2), (2, 4), (3, 6)):

@@ -21,7 +21,8 @@ _EXPORTS = {
                  "check_complement_duality", "dims", "duality_sign", "sdim",
                  "volume", "volume_via_fibration"),
     "qlocal": ("LocalizationReport", "alpha_subset", "c_bruteforce", "c_closed",
-               "check_recursions", "gl_localization", "seeded_param_vectors"),
+               "gaussian_binomial", "gl_localization", "localization_sum",
+               "seeded_param_vectors"),
     "rootsys": ("Root", "RootSystem", "build_root_system", "defect",
                 "defect_subgroup_roots", "inner", "isotropic_roots", "witt_index"),
     "splitting": ("GL", "Q", "SL", "ChainStep", "GroupDesc", "SubgroupChain",

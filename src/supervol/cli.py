@@ -94,25 +94,14 @@ def _cmd_dims(args):
           f"({d.even}|{d.odd})")
 
 
-def _parse_family_params(raw: list[str]):
-    out = []
-    for token in raw:
-        try:
-            out.append(int(token))
-        except ValueError:
-            out.append(Fraction(token))
-    return out
-
-
 def _cmd_defect(args):
     from . import rootsys
 
-    params = _parse_family_params(args.params)
-    system = rootsys.build_root_system(args.family, *params)
+    system = rootsys.build_root_system(args.family, *args.params)
     value = rootsys.defect(system)
     rules = (["witt-index-bound"] if value == rootsys.witt_index(system)
              else ["maximal-orthogonal-isotropic-search"])
-    _emit(args, "defect", {"family": args.family, "params": [str(p) for p in params]},
+    _emit(args, "defect", {"family": args.family, "params": [str(p) for p in args.params]},
           value, rules, str(value))
 
 
@@ -195,7 +184,7 @@ def _cmd_chain(args):
 
 
 def _cmd_casimir(args):
-    from . import exactnum, sympair
+    from . import sympair
 
     if args.pair == "osp":
         pair = sympair.osp_pair(args.m, args.n)
@@ -203,13 +192,12 @@ def _cmd_casimir(args):
         pair = sympair.g12_pair()
     else:
         pair = sympair.f31_pair()
-    weight = [exactnum.as_fraction(x) for x in args.weight.split(",")]
-    value = sympair.casimir_eigenvalue(pair, weight)
-    positive = sympair.positivity_check(pair, weight)
+    value = sympair.casimir_eigenvalue(pair, args.weight)
+    positive = sympair.positivity_check(pair, args.weight)
     _emit(args, "casimir",
-          {"pair": pair.name, "weight": [str(w) for w in weight]},
+          {"pair": pair.name, "weight": [str(w) for w in args.weight]},
           {"eigenvalue": str(value), "positive": positive,
-           "dominant": pair.is_dominant(weight)},
+           "dominant": pair.is_dominant(args.weight)},
           ["casimir-eigenvalue-quadratic-form"],
           f"(weight + 2 rho, weight) = {value} (positive: {positive})")
 
@@ -328,9 +316,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numbers(parser, tokens: list[str]) -> list:
+    """Each token as an int, else a Fraction; a malformed one is a usage error."""
+    out = []
+    for token in tokens:
+        try:
+            out.append(int(token))
+        except ValueError:
+            try:
+                out.append(Fraction(token))
+            except (ValueError, ZeroDivisionError):
+                parser.error(f"not a rational number: {token!r}")
+    return out
+
+
 def _normalize_args(parser, args):
     """Resolve the positional arguments that argparse cannot; a wrong count
-    is a usage error (exit 2)."""
+    or a malformed number is a usage error (exit 2)."""
     if args.verb == "splitting":
         if args.kind == "gl":
             if args.m is None or args.n is None:
@@ -345,6 +347,7 @@ def _normalize_args(parser, args):
         if len(args.params) != count:
             parser.error(f"defect {args.family} requires {count} parameter"
                          f"{'' if count == 1 else 's'}, got {len(args.params)}")
+        args.params = _numbers(parser, args.params)
     elif args.verb == "chain":
         if args.family == "GL" and len(args.params) != 2:
             parser.error("chain GL requires m and n")
@@ -356,6 +359,7 @@ def _normalize_args(parser, args):
             parser.error("casimir osp requires --m and --n")
         if args.pair != "osp" and any(given):
             parser.error(f"casimir {args.pair} takes neither --m nor --n")
+        args.weight = _numbers(parser, args.weight.split(","))
 
 
 def main(argv=None) -> int:

@@ -16,21 +16,21 @@ For the equal-rank grassmannian of (r|r)-planes in C^(n|n) the odd
 weights a_i + a_j become a_i - a_j, so every contribution is 1 and the
 sum counts the binom(n, r) fixed points.
 
-Both sums share one kernel.  Every factor has degree zero in a, so the
-parameters are first scaled to integers by the lcm of their denominators;
-each fixed point then contributes one integer numerator over one integer
-denominator.  Both sums enumerate all binom(n, r) subsets and are bounded
-at n <= 14.
+Both are the sum of prod (a_i - t a_j) / (a_i - a_j) at t = -1 and t = 1,
+which is the Gaussian binomial [n choose r]_t for every t (Macdonald,
+Symmetric Functions and Hall Polynomials, ch. III).  With a scaled to
+integers by the lcm of its denominators and t = p/q, each fixed point
+contributes one integer numerator over one integer denominator.  The
+sums enumerate all binom(n, r) subsets and are bounded at n <= 14.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exactnum import as_fraction
 
@@ -68,10 +68,12 @@ def seeded_param_vectors(n: int, count: int, seed: int) -> list[Params]:
 
 
 def _fixed_point_terms(
-    subsets: Iterable[Iterable[int]], a: Params, odd_weight: Callable[[int, int], int]
+    subsets: Iterable[Iterable[int]], a: Params, t: Fraction | int
 ) -> Iterable[tuple[int, int]]:
-    """Yield (prod odd_weight(a_i, a_j), prod (a_i - a_j)) over i in S,
-    j not in S, for each subset S, on a scaled to integers."""
+    """Yield (prod (q b_i - p b_j), q^(|S|(n-|S|)) prod (b_i - b_j)) over
+    i in S, j not in S, for each subset S, on a scaled to integers b and
+    t = p/q."""
+    p, q = t.numerator, t.denominator
     scale = math.lcm(*(x.denominator for x in a))
     b = [int(x * scale) for x in a]
     for subset in subsets:
@@ -79,22 +81,40 @@ def _fixed_point_terms(
         outside = [b[j] for j in range(len(b)) if j not in inside]
         num = den = 1
         for i in inside:
+            qb = q * b[i]
             for y in outside:
-                num *= odd_weight(b[i], y)
+                num *= qb - p * y
                 den *= b[i] - y
-        yield num, den
+        yield num, den * q ** (len(inside) * len(outside))
 
 
-def _subset_sum(r: int, n: int, a: Params, odd_weight: Callable[[int, int], int]) -> Fraction:
-    """Sum of the fixed-point terms over all r-subsets of {0..n-1}."""
+def localization_sum(r: int, n: int, a: Sequence, t: Fraction | int) -> Fraction:
+    """Sum over the r-subsets S of {0..n-1} of prod (a_i - t a_j) / (a_i - a_j),
+    i in S, j not in S: [n choose r]_t for every admissible a.  t is an int
+    or a Fraction (t = -1 gives C(r, n), t = 1 binom(n, r)); n <= 14."""
+    vals = validate_params(a)
     if not 0 <= r <= n:
         raise ValueError("require 0 <= r <= n")
     if n > 14:
         raise ValueError("subset sums bounded at n <= 14")
-    if len(a) != n:
+    if len(vals) != n:
         raise ValueError("parameter vector has wrong length")
-    terms = _fixed_point_terms(itertools.combinations(range(n), r), a, odd_weight)
+    terms = _fixed_point_terms(itertools.combinations(range(n), r), vals, as_fraction(t))
     return sum((Fraction(num, den) for num, den in terms), Fraction(0))
+
+
+def gaussian_binomial(n: int, r: int, t: Fraction | int) -> Fraction:
+    """[n choose r]_t by q-Pascal on integers: with t = p/q and
+    H(m, k) = q^(k(m-k)) [m choose k]_t, H(m, k) = q^(m-k) H(m-1, k-1) + p^k H(m-1, k)."""
+    if not 0 <= r <= n:
+        raise ValueError("require 0 <= r <= n")
+    t = as_fraction(t)
+    p, q = t.numerator, t.denominator
+    row = [1] + [0] * r  # H(0, k)
+    for m in range(1, n + 1):
+        for k in range(min(m, r), 0, -1):
+            row[k] = q ** (m - k) * row[k - 1] + p ** k * row[k]
+    return Fraction(row[r], q ** (r * (n - r)))
 
 
 def alpha_subset(subset: Iterable[int], a: Sequence) -> Fraction:
@@ -103,7 +123,7 @@ def alpha_subset(subset: Iterable[int], a: Sequence) -> Fraction:
     s = set(subset)
     if not s <= set(range(len(vals))):
         raise ValueError("subset out of range")
-    [(num, den)] = _fixed_point_terms([s], vals, operator.add)
+    [(num, den)] = _fixed_point_terms([s], vals, -1)
     return Fraction(num, den)
 
 
@@ -124,8 +144,7 @@ def c_bruteforce(r: int, n: int, samples: Sequence[Sequence]) -> LocalizationRep
     samples raises (it never fires -- that independence is the primary
     property under test).  At least one sample is required, and n <= 14.
     """
-    results = [(a, _subset_sum(r, n, a, operator.add))
-               for a in map(validate_params, samples)]
+    results = [(tuple(map(as_fraction, a)), localization_sum(r, n, a, -1)) for a in samples]
     if not results:
         raise ValueError("at least one parameter sample is required")
     consensus = results[0][1]
@@ -145,32 +164,6 @@ def c_closed(r: int, n: int) -> int:
     return math.comb(n // 2, r // 2)
 
 
-def recursions_hold(value: Callable[[int, int], int | Fraction], r: int, n: int) -> bool:
-    """Both recursions on the values ``value(r, n)`` at one 1 <= r <= n:
-
-    C(r,n) = C(r,n-1) + (-1)^(n-r) C(r-1,n-1)  and
-    C(r,n) = (-1)^(r(n-r)) C(n-r,n).
-    """
-    if not 1 <= r <= n:
-        raise ValueError("require 1 <= r <= n")
-    here = value(r, n)
-    step = value(r, n - 1) if r <= n - 1 else 0
-    return (here == step + (-1) ** ((n - r) % 2) * value(r - 1, n - 1)
-            and here == (-1) ** ((r * (n - r)) % 2) * value(n - r, n))
-
-
-def check_recursions(value: Callable[[int, int], int | Fraction], nmax: int) -> bool:
-    """``recursions_hold`` for all 1 <= r <= n <= nmax.
-
-    Pass ``c_closed`` for the closed form, or
-    ``lambda r, n: table[(r, n)]`` for a precomputed table.
-    """
-    if nmax < 1:
-        raise ValueError("nmax must be at least 1")
-    return all(recursions_hold(value, r, n)
-               for n in range(1, nmax + 1) for r in range(1, n + 1))
-
-
 def brute_c_table(nmax: int, seed: int, count: int = 3) -> dict[tuple[int, int], Fraction]:
     """Consensus brute-force table for all 0 <= r <= n <= nmax."""
     table = {}
@@ -188,4 +181,4 @@ def gl_localization(r: int, n: int, a: Sequence) -> Fraction:
     prod (a_i - a_j) / (a_i - a_j) over i in S, j not in S; the sum is
     binom(n, r) independently of the parameters.  Bounded at n <= 14.
     """
-    return _subset_sum(r, n, validate_params(a), operator.sub)
+    return localization_sum(r, n, a, 1)

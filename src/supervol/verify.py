@@ -12,7 +12,6 @@ so runs are reproducible.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -197,14 +196,12 @@ def check_c_table(table: dict[tuple[int, int], Fraction], max_n: int = 12,
 
 def check_c_recursions(table: dict[tuple[int, int], Fraction], max_n: int = 20,
                        brute_max_n: int = 12) -> CheckResult:
-    def brute(r, n):
-        return table[(r, n)]
-
+    """Closed form and brute table against [n choose r]_(-1), which obeys both recursions."""
     return _sweep("c-recursions-and-symmetry",
                   f"closed form to n = {max_n}, brute force to n = {brute_max_n}",
-                  (((r, n), qlocal.recursions_hold(qlocal.c_closed, r, n))
+                  (((r, n), qlocal.c_closed(r, n) == qlocal.gaussian_binomial(n, r, -1))
                    for r, n in _triangle(max_n, low=1)),
-                  (((r, n), qlocal.recursions_hold(brute, r, n))
+                  (((r, n), table[(r, n)] == qlocal.gaussian_binomial(n, r, -1))
                    for r, n in _triangle(brute_max_n, low=1)))
 
 
@@ -215,11 +212,15 @@ def check_c_vanishing(max_n: int = 20) -> CheckResult:
 
 
 def check_gl_localization(max_n: int = 10, seed: int = 0, samples: int = 3) -> CheckResult:
+    rng = random.Random(seed)
     vectors = {n: qlocal.seeded_param_vectors(n, samples, seed + 1000 + n)
                for n in range(max_n + 1)}
-    return _sweep("gl-localization-counts-fixed-points", f"n <= {max_n}, {samples} samples",
-                  (((r, n), qlocal.gl_localization(r, n, a) == math.comb(n, r))
-                   for r, n in _triangle(max_n) for a in vectors[n]))
+    cases = ((r, n, a, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+             for r, n in _triangle(max_n) for a in vectors[n])
+    return _sweep("localization-sum-is-gaussian-binomial",
+                  f"n <= {max_n}, {samples} samples, seeded t = p/q",
+                  (((r, n, str(t)), qlocal.localization_sum(r, n, a, t)
+                    == qlocal.gaussian_binomial(n, r, t)) for r, n, a, t in cases))
 
 
 def _casimir_outcomes(points_per_pair: int):

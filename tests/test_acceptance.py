@@ -86,7 +86,7 @@ def test_criterion_5_cross_formula_consistency():
 
 
 def test_criterion_6_gl_localization():
-    with criterion(6, "equal-rank localization counts fixed points, n <= 10"):
+    with criterion(6, "localization sum is the Gaussian binomial at seeded t, n <= 10"):
         # the parameter vectors of size n come from seed 3000 + n
         result = verify.check_gl_localization(10, seed=2000)
         assert result.passed, result.detail

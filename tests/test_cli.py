@@ -357,7 +357,9 @@ def test_usage_error_exit_code(capsys):
                  ["casimir", "g12", "1,0", "--m", "1"],
                  ["verify", "--max-n-c", "15"], ["verify", "--max-n", "17"],
                  ["defect", "gl", "2"], ["defect", "gl", "2", "3", "4"],
-                 ["defect", "g3", "1"], ["defect", "d21a"]):
+                 ["defect", "g3", "1"], ["defect", "d21a"],
+                 ["defect", "gl", "2", "x"], ["casimir", "g12", "1,x"],
+                 ["defect", "d21a", "1/0"], ["casimir", "g12", "1,1/0"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv

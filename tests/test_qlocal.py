@@ -3,16 +3,18 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from supervol import exactnum
+from supervol import exactnum, verify
 from supervol.qlocal import (
     alpha_subset,
     brute_c_table,
     c_bruteforce,
     c_closed,
-    check_recursions,
+    gaussian_binomial,
     gl_localization,
-    recursions_hold,
+    localization_sum,
     random_params,
     seeded_param_vectors,
     validate_params,
@@ -114,27 +116,82 @@ def test_brute_force_matches_closed_form():
             assert c_bruteforce(r, n, vectors).consensus == c_closed(r, n)
 
 
-def test_check_recursions():
-    assert check_recursions(c_closed, 5)
-    assert check_recursions(c_closed, 20)
-    assert check_recursions(c_closed, 1)  # the single case (1, 1)
-    assert not check_recursions(lambda r, n: r, 1)  # breaks C(1,1) = C(0,0)
-    with pytest.raises(ValueError):
-        check_recursions(c_closed, 0)
-    assert recursions_hold(c_closed, 2, 4)
-    assert not recursions_hold(lambda r, n: 0 if (r, n) == (2, 4) else c_closed(r, n), 2, 4)
-    for r, n in ((0, 3), (4, 3)):
+def test_recursion_cases_as_gaussian_binomials():
+    # [n r]_t obeys q-Pascal and the symmetry [n r]_t = [n n-r]_t, so a
+    # comparison with it covers both recursions of C(r, n)
+    # the table r -> r holds at (1, 1) but breaks C(0, 0) = 1, which the
+    # recursion at (1, 1) reads; r = 0 is the c-table check's range
+    identity = {(r, n): r for n in range(2) for r in range(n + 1)}
+    assert identity[(1, 1)] == gaussian_binomial(1, 1, -1)
+    assert verify.check_c_table(identity, 1).detail.endswith("first (0, 0)")
+    # an empty range is not a pass
+    assert not verify.check_c_recursions(brute_c_table(1, 0), 0, 1).passed
+    assert c_closed(2, 4) == gaussian_binomial(4, 2, -1) == 2
+    broken = {**brute_c_table(4, 0), (2, 4): 0}
+    assert verify.check_c_recursions(broken, 4, 4).detail.endswith("1 failures, first (2, 4)")
+    for r, n in ((-1, 3), (4, 3)):
         with pytest.raises(ValueError):
-            recursions_hold(c_closed, r, n)
+            gaussian_binomial(n, r, -1)
+    assert gaussian_binomial(3, 0, -1) == c_closed(0, 3) == 1  # r = 0 is the base row
     # symmetry at (r,n) = (1,3): C(1,3) = (-1)^2 C(2,3)
     assert c_closed(1, 3) == c_closed(2, 3) == 1
+    assert gaussian_binomial(3, 1, -1) == gaussian_binomial(3, 2, -1) == 1
     # base case consistent with both recursions
     assert c_closed(1, 2) == c_closed(1, 1) - c_closed(0, 1) == 0
+    assert gaussian_binomial(2, 1, -1) == (gaussian_binomial(1, 0, -1)
+                                           - gaussian_binomial(1, 1, -1)) == 0
 
 
-def test_recursions_on_brute_table():
+def test_brute_table_is_gaussian_binomial_at_minus_one():
     table = brute_c_table(6, 7)
-    assert check_recursions(lambda r, n: table[(r, n)], 6)
+    assert all(table[(r, n)] == gaussian_binomial(n, r, -1)
+               for n in range(1, 7) for r in range(1, n + 1))
+
+
+def test_gaussian_binomial_specialisations():
+    for n in range(21):  # every 0 <= r <= n <= 20
+        for r in range(n + 1):
+            assert gaussian_binomial(n, r, -1) == c_closed(r, n)
+            assert gaussian_binomial(n, r, 1) == math.comb(n, r)
+    assert gaussian_binomial(4, 2, 2) == 35
+    assert gaussian_binomial(2, 1, Fraction(1, 2)) == Fraction(3, 2)
+
+
+def test_localization_sum_is_gaussian_binomial():
+    ts = (-1, 0, 1, 2, Fraction(-3, 7), Fraction(5, 2))
+    for n in range(9):
+        vectors = seeded_param_vectors(n, 2, 700 + n) + [FRACTIONAL_PARAMS[:n]]
+        for a in vectors:
+            for r in range(n + 1):
+                for t in ts:
+                    assert localization_sum(r, n, a, t) == gaussian_binomial(n, r, t), (a, r, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=7).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n))),
+       st.fractions(min_value=-5, max_value=5, max_denominator=6),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_localization_sum_property(nr, t, seed):
+    n, r = nr
+    [a] = seeded_param_vectors(n, 1, seed)
+    assert localization_sum(r, n, a, t) == gaussian_binomial(n, r, t)
+
+
+def test_localization_sum_and_gaussian_binomial_errors():
+    for r, n in ((-1, 3), (4, 3)):
+        with pytest.raises(ValueError, match="0 <= r <= n"):
+            gaussian_binomial(n, r, 2)
+        with pytest.raises(ValueError, match="0 <= r <= n"):
+            localization_sum(r, n, seeded_param_vectors(n, 1, 0)[0], 2)
+    with pytest.raises(TypeError, match="exact"):
+        gaussian_binomial(4, 2, 0.5)
+    with pytest.raises(TypeError, match="exact"):
+        localization_sum(2, 4, [1, 2, 3, 5], 0.5)
+    with pytest.raises(ValueError, match="bounded"):
+        localization_sum(7, 15, range(1, 16), 2)
+    with pytest.raises(ValueError, match="wrong length"):
+        localization_sum(1, 3, [1, 2], 2)
 
 
 def test_gl_localization_examples():

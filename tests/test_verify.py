@@ -1,3 +1,4 @@
+import math
 import re
 
 from supervol import qlocal, verify
@@ -36,3 +37,18 @@ def test_broken_case_fails_and_is_named_first(monkeypatch):
     result = verify.check_c_vanishing(20)
     assert not result.passed
     assert result.detail == "n <= 20; 231 cases, 1 failures, first (2, 4)"
+
+
+def test_localization_sweep_fails_when_the_kernel_ignores_t(monkeypatch):
+    monkeypatch.setattr(qlocal, "localization_sum", lambda r, n, a, t: math.comb(n, r))
+    result = verify.check_gl_localization(10, seed=0)
+    assert not result.passed
+    assert result.detail.startswith("n <= 10, 3 samples, seeded t = p/q; 198 cases, ")
+
+
+def test_broken_brute_table_fails_the_recursion_check():
+    table = qlocal.brute_c_table(12, 0)
+    table[(3, 9)] += 1
+    result = verify.check_c_recursions(table, 20, 12)
+    assert not result.passed
+    assert result.detail.endswith("; 288 cases, 1 failures, first (3, 9)")
