@@ -19,9 +19,9 @@ sum counts the binom(n, r) fixed points.
 Both are the sum of prod (a_i - t a_j) / (a_i - a_j) at t = -1 and t = 1,
 which is the Gaussian binomial [n choose r]_t for every t (Macdonald,
 Symmetric Functions and Hall Polynomials, ch. III).  With a scaled to
-integers by the lcm of its denominators and t = p/q, each fixed point
-contributes one integer numerator over one integer denominator.  The
-sums enumerate all binom(n, r) subsets and are bounded at n <= 14.
+integers b by the lcm of its denominators and t = p/q, a sum is one
+integer numerator over one common denominator q^(r(n-r)) prod_{i<j} (b_i - b_j).
+The sums enumerate all binom(n, r) subsets and are bounded at n <= 14.
 """
 
 from __future__ import annotations
@@ -40,12 +40,8 @@ Params = tuple[Fraction, ...]
 def validate_params(a: Sequence) -> Params:
     """Check a_i != 0 and a_i +- a_j != 0 for i != j; return as Fractions."""
     vals = tuple(as_fraction(x) for x in a)
-    if any(x == 0 for x in vals):
+    if 0 in vals or len({abs(x) for x in vals}) < len(vals):
         raise ValueError("degenerate parameters")
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] == vals[j] or vals[i] == -vals[j]:
-                raise ValueError("degenerate parameters")
     return vals
 
 
@@ -67,25 +63,31 @@ def seeded_param_vectors(n: int, count: int, seed: int) -> list[Params]:
     return [random_params(n, rng) for _ in range(count)]
 
 
-def _fixed_point_terms(
-    subsets: Iterable[Iterable[int]], a: Params, t: Fraction | int
-) -> Iterable[tuple[int, int]]:
-    """Yield (prod (q b_i - p b_j), q^(|S|(n-|S|)) prod (b_i - b_j)) over
-    i in S, j not in S, for each subset S, on a scaled to integers b and
-    t = p/q."""
+def _fixed_point_sum(
+    subsets: Iterable[Iterable[int]], k: int, a: Params, t: Fraction | int
+) -> Fraction:
+    """Sum of prod (a_i - t a_j) / (a_i - a_j), i in S, j not in S, over the
+    given k-subsets S.  On a scaled to integers b and t = p/q, S contributes
+    prod (q b_i - p b_j) / (q^(k(n-k)) prod (b_i - b_j)), and its product of
+    differences divides D = prod_{i<j} (b_i - b_j) exactly, so the numerators
+    accumulate over the one denominator q^(k(n-k)) D."""
     p, q = t.numerator, t.denominator
     scale = math.lcm(*(x.denominator for x in a))
     b = [int(x * scale) for x in a]
+    n = len(b)
+    common = math.prod(x - y for x, y in itertools.combinations(b, 2))
+    total = 0
     for subset in subsets:
         inside = set(subset)
-        outside = [b[j] for j in range(len(b)) if j not in inside]
+        outside = [b[j] for j in range(n) if j not in inside]
         num = den = 1
         for i in inside:
             qb = q * b[i]
             for y in outside:
                 num *= qb - p * y
                 den *= b[i] - y
-        yield num, den * q ** (len(inside) * len(outside))
+        total += num * (common // den)
+    return Fraction(total, common * q ** (k * (n - k)))
 
 
 def localization_sum(r: int, n: int, a: Sequence, t: Fraction | int) -> Fraction:
@@ -99,8 +101,7 @@ def localization_sum(r: int, n: int, a: Sequence, t: Fraction | int) -> Fraction
         raise ValueError("subset sums bounded at n <= 14")
     if len(vals) != n:
         raise ValueError("parameter vector has wrong length")
-    terms = _fixed_point_terms(itertools.combinations(range(n), r), vals, as_fraction(t))
-    return sum((Fraction(num, den) for num, den in terms), Fraction(0))
+    return _fixed_point_sum(itertools.combinations(range(n), r), r, vals, as_fraction(t))
 
 
 def gaussian_binomial(n: int, r: int, t: Fraction | int) -> Fraction:
@@ -123,16 +124,12 @@ def alpha_subset(subset: Iterable[int], a: Sequence) -> Fraction:
     s = set(subset)
     if not s <= set(range(len(vals))):
         raise ValueError("subset out of range")
-    [(num, den)] = _fixed_point_terms([s], vals, -1)
-    return Fraction(num, den)
+    return _fixed_point_sum([s], len(s), vals, -1)
 
 
 class LocalizationReport(NamedTuple):
-    """Subset-sum values across parameter samples and their consensus."""
+    """Consensus of the subset-sum values across parameter samples."""
 
-    n: int
-    r: int
-    samples: tuple[tuple[Params, Fraction], ...]
     consensus: Fraction
     agrees: bool
 
@@ -144,14 +141,14 @@ def c_bruteforce(r: int, n: int, samples: Sequence[Sequence]) -> LocalizationRep
     samples raises (it never fires -- that independence is the primary
     property under test).  At least one sample is required, and n <= 14.
     """
-    results = [(tuple(map(as_fraction, a)), localization_sum(r, n, a, -1)) for a in samples]
-    if not results:
+    totals = [localization_sum(r, n, a, -1) for a in samples]
+    if not totals:
         raise ValueError("at least one parameter sample is required")
-    consensus = results[0][1]
-    agrees = all(total == consensus for _, total in results)
+    consensus = totals[0]
+    agrees = all(total == consensus for total in totals)
     if not agrees:
         raise ValueError("parameter dependence detected")
-    return LocalizationReport(n, r, tuple(results), consensus, agrees)
+    return LocalizationReport(consensus, agrees)
 
 
 def c_closed(r: int, n: int) -> int:

@@ -337,11 +337,11 @@ def run_all(seed: int = 0, max_n_grass: int = 6, max_n_c: int = 12) -> list[Chec
         check_c_table(c_table, max_n_c),
         check_c_recursions(c_table, 20, max_n_c),
         check_c_vanishing(20),
-        check_gl_localization(10, seed),
+        check_gl_localization(min(10, max_n_c), seed),
         check_casimir_positivity(),
         check_rho_coefficients(),
         check_d21a_weights(),
         check_chains(),
-        check_predicate_agreement(),
-        check_sdim_necessity(),
+        check_predicate_agreement(max_n_grass),
+        check_sdim_necessity(max_n_grass),
     ]

@@ -27,7 +27,7 @@ CASES = [
     (["qvolume", "2", "4"], False),
     (["qvolume", "2", "4", "--brute"], False),
     (["c-table", "4"], False),
-    (["c-table", "4", "--brute"], True),
+    (["c-table", "4", "--brute"], False),
     (["localize", "2", "4"], False),
     (["defect", "gl", "2", "3"], False),
     (["splitting", "gl", "1", "1", "3", "2"], False),

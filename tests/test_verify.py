@@ -23,6 +23,20 @@ def test_run_all_calls_every_check_once(monkeypatch):
     assert all(re.search(r"; \d+ cases, \d+ failures", r.detail) for r in results)
 
 
+def test_run_all_bounds_reach_every_sweep():
+    details = {r.name: r.detail for r in verify.run_all(seed=1, max_n_grass=2, max_n_c=3)}
+    for name in ("volume-nonvanishing-iff-sdim-nonnegative", "volume-swap-symmetry",
+                 "volume-cross-formula-and-duality", "two-pi-power-equals-odd-dimension",
+                 "sdim-necessity-reproduces-grassmannian-sdim"):
+        assert details[name].startswith("exhaustive m,n <= 2; "), name
+    assert details["splitting-predicates-agree-with-volumes"].startswith(
+        "GL m,n <= 2, Q n <= 20; ")
+    assert details["localization-sum-is-gaussian-binomial"].startswith(
+        "n <= 3, 3 samples, seeded t = p/q; 30 cases, ")
+    assert details["c-table-bruteforce-matches-closed-form"].startswith(
+        "all 0 <= r <= n <= 3, ")
+
+
 def test_check_with_an_empty_part_fails():
     result = verify.check_chains(-1, 10)
     assert not result.passed
