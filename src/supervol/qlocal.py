@@ -20,14 +20,20 @@ Both are the sum of prod (a_i - t a_j) / (a_i - a_j) at t = -1 and t = 1,
 which is the Gaussian binomial [n choose r]_t for every t (Macdonald,
 Symmetric Functions and Hall Polynomials, ch. III).  With a scaled to
 integers b by the lcm of its denominators and t = p/q, a sum is one
-integer numerator over one common denominator q^(r(n-r)) prod_{i<j} (b_i - b_j).
-The sums enumerate all binom(n, r) subsets and are bounded at n <= 14.
+integer numerator over one common denominator q^(r(n-r)) D, with
+D = prod_{i<j} (b_i - b_j).  Times D, the term of a fixed point S is a
+product over the pairs i < j of one pair factor chosen by the sides of i
+and j, so no term needs a division.  The kernel cuts the positions into
+two halves, tabulates each half's products once, and forms and adds the
+term of every one of the binom(n, r) fixed points in C; the sums are
+exact and bounded at n <= 14.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -63,30 +69,69 @@ def seeded_param_vectors(n: int, count: int, seed: int) -> list[Params]:
     return [random_params(n, rng) for _ in range(count)]
 
 
-def _fixed_point_sum(
-    subsets: Iterable[Iterable[int]], k: int, a: Params, t: Fraction | int
-) -> Fraction:
-    """Sum of prod (a_i - t a_j) / (a_i - a_j), i in S, j not in S, over the
-    given k-subsets S.  On a scaled to integers b and t = p/q, S contributes
-    prod (q b_i - p b_j) / (q^(k(n-k)) prod (b_i - b_j)), and its product of
-    differences divides D = prod_{i<j} (b_i - b_j) exactly, so the numerators
-    accumulate over the one denominator q^(k(n-k)) D."""
-    p, q = t.numerator, t.denominator
+def _scaled(a: Params) -> tuple[list[int], int]:
+    """a scaled to integers b by the lcm of its denominators, and the common
+    denominator D = prod_{i<x} (b_i - b_x)."""
     scale = math.lcm(*(x.denominator for x in a))
     b = [int(x * scale) for x in a]
+    return b, math.prod(x - y for x, y in itertools.combinations(b, 2))
+
+
+def _pair_factor(bi: int, bx: int, i_in: int, x_in: int, p: int, q: int) -> int:
+    """Factor of the pair i < x in the term of the fixed point S over D, at
+    t = p/q, by the sides of i and x (1 for in S): b_i - b_x when both are in
+    S or both out, q b_i - p b_x when only i is in S and p b_i - q b_x when
+    only x is.  A term prod (q b_i - p b_j) / prod (b_i - b_j), i in S, j not
+    in S, times D is the product of these factors, because each mixed pair's
+    difference cancels against D to +1 or -1."""
+    if i_in == x_in:
+        return bi - bx
+    return q * bi - p * bx if i_in else p * bi - q * bx
+
+
+def _half(f: list, start: int, stop: int) -> list:
+    """(sides, own, cross) for each side vector of the positions start..stop-1,
+    side 1 meaning in S: own is the product of the pair factors inside, and
+    cross[2 (x - stop) + s] that of the factors with a later position x on side s."""
+    # lists: a tuple built from an iterator is resized to its length, which
+    # leaves CPython's per-size tuple free lists holding memory across calls
+    states = [((), 1, [1] * 2 * (len(f) - start))]
+    for i in range(start, stop):
+        states = [(sides + (s,), own * cross[s], list(map(operator.mul, cross[2:], f[i][s])))
+                  for sides, own, cross in states for s in (0, 1)]
+    return states
+
+
+def _fixed_point_sum(k: int, a: Params, t: Fraction) -> Fraction:
+    """Sum of prod (a_i - t a_j) / (a_i - a_j), i in S, j not in S, over every
+    k-subset S, with every term added exactly.  On a scaled to integers b and
+    t = p/q, the term of S is the product of its pair factors over the one
+    denominator q^(k(n-k)) D.  The positions split into a low half
+    L = {0..h-1}, h = n // 2, and a high half H, and the term factors as
+    own(S & L) own(S & H) prod_{x in H} cross_x(x in S, S & L).  One row per
+    side vector of L, grouped by its count in S, holds its 2|H| cross products
+    and then its own product.  Each side vector of H picks its |H| cross
+    entries and the own entry from every row that completes k, so the inner
+    loop over the rows runs in C."""
+    p, q = t.numerator, t.denominator
+    b, common = _scaled(a)
     n = len(b)
-    common = math.prod(x - y for x, y in itertools.combinations(b, 2))
+    h = n // 2
+    # f[i][s]: the factors of i on side s with each later x on side 0, then 1
+    f = [[[_pair_factor(b[i], b[x], s, x_in, p, q) for x in range(i + 1, n) for x_in in (0, 1)]
+          for s in (0, 1)] for i in range(n)]
+    rows: list[list[tuple[int, ...]]] = [[] for _ in range(h + 1)]
+    for sides, own, cross in _half(f, 0, h):
+        rows[sum(sides)].append((*cross, own))
     total = 0
-    for subset in subsets:
-        inside = set(subset)
-        outside = [b[j] for j in range(n) if j not in inside]
-        num = den = 1
-        for i in inside:
-            qb = q * b[i]
-            for y in outside:
-                num *= qb - p * y
-                den *= b[i] - y
-        total += num * (common // den)
+    for sides, own, _ in _half(f, h, n):
+        low = k - sum(sides)
+        if 0 <= low <= h:
+            # the own entry sits at 2|H|; with H empty (n = 0) it is the one
+            # pick, which itemgetter would return bare rather than as a tuple
+            picks = [2 * j + s for j, s in enumerate(sides)] + [2 * (n - h)]
+            getter = operator.itemgetter(*picks) if len(picks) > 1 else tuple
+            total += own * sum(map(math.prod, map(getter, rows[low])))
     return Fraction(total, common * q ** (k * (n - k)))
 
 
@@ -101,7 +146,7 @@ def localization_sum(r: int, n: int, a: Sequence, t: Fraction | int) -> Fraction
         raise ValueError("subset sums bounded at n <= 14")
     if len(vals) != n:
         raise ValueError("parameter vector has wrong length")
-    return _fixed_point_sum(itertools.combinations(range(n), r), r, vals, as_fraction(t))
+    return _fixed_point_sum(r, vals, as_fraction(t))
 
 
 def gaussian_binomial(n: int, r: int, t: Fraction | int) -> Fraction:
@@ -119,12 +164,16 @@ def gaussian_binomial(n: int, r: int, t: Fraction | int) -> Fraction:
 
 
 def alpha_subset(subset: Iterable[int], a: Sequence) -> Fraction:
-    """Fixed-point contribution of the subset (0-based positions into a)."""
+    """Fixed-point contribution of the subset (0-based positions into a): the
+    product of its pair factors at t = -1 over D."""
     vals = validate_params(a)
     s = set(subset)
     if not s <= set(range(len(vals))):
         raise ValueError("subset out of range")
-    return _fixed_point_sum([s], len(s), vals, -1)
+    b, common = _scaled(vals)
+    num = math.prod(_pair_factor(b[i], b[x], i in s, x in s, -1, 1)
+                    for i, x in itertools.combinations(range(len(b)), 2))
+    return Fraction(num, common)
 
 
 class LocalizationReport(NamedTuple):

@@ -341,7 +341,7 @@ def run_all(seed: int = 0, max_n_grass: int = 6, max_n_c: int = 12) -> list[Chec
         check_casimir_positivity(),
         check_rho_coefficients(),
         check_d21a_weights(),
-        check_chains(),
+        check_chains(min(5, max_n_grass)),
         check_predicate_agreement(max_n_grass),
         check_sdim_necessity(max_n_grass),
     ]

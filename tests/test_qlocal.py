@@ -22,7 +22,8 @@ from supervol.qlocal import (
 
 # Distinct denominators, so the subset sums must scale by their lcm.
 FRACTIONAL_PARAMS = tuple(Fraction(p, q) for p, q in (
-    (1, 2), (-2, 3), (5, 4), (7, 6), (-3, 5), (11, 7), (-13, 9), (17, 10)))
+    (1, 2), (-2, 3), (5, 4), (7, 6), (-3, 5), (11, 7), (-13, 9), (17, 10),
+    (19, 11), (-23, 12), (29, 13), (-31, 14), (37, 15), (-41, 16)))
 
 
 # Mixed signs and mixed int/Fraction entries.
@@ -195,7 +196,7 @@ def test_localization_sum_is_gaussian_binomial():
 
 def test_localization_sum_matches_per_subset_fractions():
     ts = (-1, 0, 1, 2, Fraction(-3, 7), Fraction(5, 2))
-    for n in range(8):
+    for n in range(8):  # n <= 3 gives the kernel halves of 0 or 1 positions
         vectors = [tuple(range(1, n + 1)), FRACTIONAL_PARAMS[:n], MIXED_PARAMS[:n]]
         vectors += seeded_param_vectors(n, 1, 800 + n)
         for a in vectors:
@@ -203,6 +204,23 @@ def test_localization_sum_matches_per_subset_fractions():
                 for t in ts:
                     expected = per_subset_sum(itertools.combinations(range(n), r), a, t)
                     assert localization_sum(r, n, a, t) == expected, (a, r, t)
+
+
+def test_localization_sum_matches_per_subset_fractions_up_to_the_bound():
+    # The kernel's halves reach 7 positions only at n = 14, and a = 1..n has
+    # zero pair factors at t = 2.  At r = n // 2 for n >= 13 the oracle takes
+    # 20-140 ms a case, so there only a = 1..n runs at every t and the other
+    # vectors run at t = -3/7.
+    ts = (-1, 1, 2, 0, Fraction(-3, 7))
+    for n in (8, 9, 13, 14):
+        vectors = [tuple(range(1, n + 1)), FRACTIONAL_PARAMS[:n]]
+        vectors += seeded_param_vectors(n, 1, 1000 + n)
+        for r in sorted({0, 1, n // 2, n - 1, n}):
+            for a, t in itertools.product(vectors, ts):
+                if n >= 13 and r == n // 2 and a != vectors[0] and t != ts[-1]:
+                    continue
+                expected = per_subset_sum(itertools.combinations(range(n), r), a, t)
+                assert localization_sum(r, n, a, t) == expected, (a, r, t)
 
 
 def test_alpha_subset_matches_per_subset_fraction():

@@ -31,6 +31,7 @@ def test_run_all_bounds_reach_every_sweep():
         assert details[name].startswith("exhaustive m,n <= 2; "), name
     assert details["splitting-predicates-agree-with-volumes"].startswith(
         "GL m,n <= 2, Q n <= 20; ")
+    assert details["minimal-chains-validate"].startswith("GL m,n <= 2, Q n <= 10; ")
     assert details["localization-sum-is-gaussian-binomial"].startswith(
         "n <= 3, 3 samples, seeded t = p/q; 30 cases, ")
     assert details["c-table-bruteforce-matches-closed-form"].startswith(
