@@ -116,7 +116,7 @@ def _cmd_c_table(args):
     rules = ["q-grassmannian-subset-sum-closed-form"]
     agrees = True
     if args.brute:
-        brute_max = min(args.nmax, 12)
+        brute_max = min(args.nmax, MAX_N_C)
         table = qlocal.brute_c_table(brute_max, args.seed, args.samples)
         agrees = all(value == qlocal.c_closed(*case) for case, value in table.items())
         rows.append({"brute_force_agrees": agrees})

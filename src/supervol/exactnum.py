@@ -3,16 +3,17 @@
 Matrices are plain sequences of sequences of values accepted by
 ``fractions.Fraction``; every routine returns exact rationals.  Sizes stay
 in the dozens; storage is dense and every kernel is a polynomial-time
-elimination over ``Fraction``: Gaussian elimination for ranks,
-determinants and inverses, skew Schur-complement elimination for
-Pfaffians, and symmetric congruence elimination for the inertia of a
-quadratic form.
+elimination over ``Fraction``: Gaussian elimination for ranks and
+determinants, skew Schur-complement elimination for Pfaffians, and
+symmetric congruence elimination for the inertia of a quadratic form.
+``form`` is the one evaluation of a bilinear form v^T * G * w.
 
 The fixed-point invariant of an odd isomorphism acting on a (2n|2n)-
 dimensional space is computed two ways:
 
 * ``alpha_pfaffian`` -- the Pfaffian of Q01^T * Q10^(-1) in an adapted
-  real basis;
+  real basis, evaluated without an inverse through the congruence
+  identity Pf(B * A * B^T) = det(B) * Pf(A) as Pf((Q01 * Q10)^T) / det(Q10);
 * ``alpha_diagonal`` -- the closed product prod(c_i/d_i) for a diagonal
   complex action, after realification.
 
@@ -62,12 +63,31 @@ def transpose(m) -> Matrix:
 
 def mat_mul(a, b) -> Matrix:
     a, b = mat(a), mat(b)
-    if a and b and len(a[0]) != len(b):
+    if a and len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
     bt = transpose(b)
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
+
+
+def form(gram, v, w) -> Fraction:
+    """The bilinear form v^T * gram * w in exact arithmetic.
+
+    ``gram`` holds exact entries, as from :func:`mat`; the coordinates of
+    ``v`` and ``w`` pass through :func:`as_fraction`.  Zero coordinates
+    are skipped, so a sparse vector costs only its support.
+    """
+    vv = [as_fraction(x) for x in v]
+    ww = [as_fraction(x) for x in w]
+    if len(vv) != len(gram) or len(ww) != len(gram):
+        raise ValueError("dimension mismatch")
+    support = [(j, y) for j, y in enumerate(ww) if y]
+    total = Fraction(0)
+    for x, row in zip(vv, gram):
+        if x:
+            total += x * sum(row[j] * y for j, y in support)
+    return total
 
 
 def _echelon(rows: list[list[Fraction]]) -> tuple[int, Fraction]:
@@ -111,28 +131,6 @@ def det(m) -> Fraction:
         return Fraction(1)
     r, piv = _echelon([list(row) for row in m])
     return piv if r == n else Fraction(0)
-
-
-def inverse(m) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination."""
-    m = mat(m)
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("inverse of non-square matrix")
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_piv = 1 / aug[col][col]
-        aug[col] = [x * inv_piv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def is_skew(m) -> bool:
@@ -243,12 +241,16 @@ def alpha_pfaffian(q01, q10) -> Fraction:
     which holds exactly when the basis is adapted to an invariant form.
     """
     q01, q10 = mat(q01), mat(q10)
-    if det(q10) == 0:
+    d = det(q10)
+    if d == 0:
         raise ValueError("Q does not act isomorphically")
-    prod = mat_mul(transpose(q01), inverse(q10))
+    if len(q01) != len(q10):
+        raise ValueError("dimension mismatch")
+    # Pf(B A B^T) = det(B) Pf(A); A = Q01^T Q10^(-1), B = Q10^T give B A B^T = (Q01 Q10)^T.
+    prod = transpose(mat_mul(q01, q10))
     if not is_skew(prod):
         raise ValueError("basis not adapted: Q01^T*Q10^(-1) is not skew-symmetric")
-    return pfaffian(prod)
+    return pfaffian(prod) / d
 
 
 def alpha_diagonal(c: Sequence, d: Sequence) -> Fraction:

@@ -27,7 +27,7 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import as_fraction, inertia, rank, reject_tuple_arithmetic
+from .exactnum import as_fraction, form, inertia, rank, reject_tuple_arithmetic
 
 EVEN = "even"
 ODD = "odd"
@@ -207,16 +207,7 @@ def build_root_system(family: str, *params) -> RootSystem:
 
 def inner(system: RootSystem, v, w) -> Fraction:
     """The invariant form evaluated on two weight vectors."""
-    vv, ww = _vec(v), _vec(w)
-    if len(vv) != system.dim or len(ww) != system.dim:
-        raise ValueError("dimension mismatch")
-    total = Fraction(0)
-    for i, vi in enumerate(vv):
-        if vi == 0:
-            continue
-        row = system.gram[i]
-        total += vi * sum(g * wj for g, wj in zip(row, ww) if wj != 0)
-    return total
+    return form(system.gram, v, w)
 
 
 def isotropic_roots(system: RootSystem) -> tuple[Root, ...]:

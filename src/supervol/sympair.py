@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import as_fraction, inertia, inverse, mat
+from .exactnum import as_fraction, det, form, inertia, mat
 
 Vector = tuple[Fraction, ...]
 
@@ -42,22 +42,12 @@ class RestrictedPair(NamedTuple):
         return len(self.gram)
 
     def inner(self, v, w) -> Fraction:
-        vv = tuple(as_fraction(x) for x in v)
-        ww = tuple(as_fraction(x) for x in w)
-        if len(vv) != len(self.gram) or len(ww) != len(self.gram):
-            raise ValueError("dimension mismatch")
-        return sum(
-            vi * sum(g * wj for g, wj in zip(row, ww))
-            for vi, row in zip(vv, self.gram)
-        )
+        return form(self.gram, v, w)
 
     def is_dominant(self, v) -> bool:
-        """Whether (v, alpha_j) = sum_i v_i G_ij >= 0 for every simple root."""
-        vv = tuple(as_fraction(x) for x in v)
-        if len(vv) != len(self.gram):
-            raise ValueError("dimension mismatch")
-        return all(sum(vi * row[j] for vi, row in zip(vv, self.gram)) >= 0
-                   for j in range(len(self.gram)))
+        """Whether (v, alpha_j) >= 0 for every simple root alpha_j."""
+        k = self.rank
+        return all(self.inner(v, [int(i == j) for i in range(k)]) >= 0 for j in range(k))
 
 
 def _pair(name, gram_rows, rho_coeffs, ratios) -> RestrictedPair:
@@ -136,12 +126,18 @@ def fundamental_weights(pair: RestrictedPair) -> tuple[Vector, ...]:
 
     Nonnegative combinations of these are exactly the dominant weights,
     which is how the positivity sweeps generate their grids.  They are the
-    columns of the inverse Gram matrix; a degenerate form raises
-    ValueError.
+    columns of the inverse Gram matrix G^(-1), by Cramer's rule with
+    ``det``: w_j[i] = det(G with column i replaced by e_j) / det(G).  A
+    degenerate form raises ValueError.
     """
-    inv = inverse(pair.gram)
-    k = pair.rank
-    return tuple(tuple(inv[i][j] for i in range(k)) for j in range(k))
+    g, k = pair.gram, pair.rank
+    d = det(g)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    return tuple(
+        tuple(det([row[:i] + (int(r == j),) + row[i + 1:] for r, row in enumerate(g)]) / d
+              for i in range(k))
+        for j in range(k))
 
 
 def gram_positive_definite(pair: RestrictedPair) -> bool:

@@ -106,6 +106,19 @@ def test_c_table():
     assert rows[-1]["brute_force_agrees"] is True
 
 
+def test_c_table_brute_reaches_the_subset_sum_bound(monkeypatch):
+    bounds = []
+
+    def record(nmax, seed, count=3):
+        bounds.append(nmax)
+        return {}
+
+    monkeypatch.setattr(qlocal, "brute_c_table", record)
+    assert main_json("c-table", "14", "--brute")["result"][-1] == {"brute_force_agrees": True}
+    main_json("c-table", "16", "--brute")
+    assert bounds == [14, cli.MAX_N_C]
+
+
 def test_localize():
     envelope = main_json("localize", "2", "4")
     assert envelope["result"]["fixed_points"] == 6

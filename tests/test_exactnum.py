@@ -188,6 +188,14 @@ def test_pfaffian_congruence_scaling():
         assert pfaffian(conj) == det_cofactor(p) * pfaffian(m)
 
 
+def test_mat_mul_shape_check():
+    assert mat_mul([[1, 2]], [[3], [4]]) == ((11,),)
+    assert mat_mul([], [[1]]) == ()
+    for a, b in (([[1]], []), ([[1, 2]], [[1, 2]]), ([[1]], [[1], [2]])):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mat_mul(a, b)
+
+
 def test_alpha_pfaffian_regular_module():
     # non-realified 1x1 blocks fail the skewness check; realified they give 1
     with pytest.raises(ValueError, match="basis not adapted"):
@@ -207,6 +215,27 @@ def test_alpha_pfaffian_singular_block():
     q01, q10 = realified_diagonal_action([1], [0])
     with pytest.raises(ValueError, match="does not act isomorphically"):
         alpha_pfaffian(q01, q10)
+
+
+def test_alpha_pfaffian_shape_mismatch():
+    q01, q10 = realified_diagonal_action([1], [1])
+    for bad in (q01 + ((0, 0),), [row + (0,) for row in q01], [], [[1]]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            alpha_pfaffian(bad, q10)
+
+
+def test_alpha_pfaffian_on_non_diagonal_adapted_bases():
+    # Q01 = (A * Q10)^T makes Q01^T * Q10^(-1) = A for any invertible Q10
+    rng = random.Random(23)
+    for n in (2, 4, 6):
+        for _ in range(5):
+            a = random_skew(n, rng)
+            q10 = [[0]]
+            while det_cofactor(q10) == 0:
+                q10 = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                       for _ in range(n)]
+            q01 = transpose(mat_mul(a, q10))
+            assert alpha_pfaffian(q01, q10) == pfaffian(a)
 
 
 def test_alpha_diagonal_examples():

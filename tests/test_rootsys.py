@@ -66,6 +66,19 @@ def test_inner_examples():
     assert inner(gl20, (1, -1), (1, -1)) == 2
     with pytest.raises(ValueError, match="dimension"):
         inner(gl20, (1,), (1, 0))
+    with pytest.raises(ValueError, match="dimension"):
+        inner(gl20, (1, 0), (1, 0, 0))
+    with pytest.raises(TypeError, match="exact"):
+        inner(gl20, (1, 0.5), (1, 0))
+    with pytest.raises(TypeError, match="exact"):
+        inner(gl20, (1, 0), (0.0, 1))
+    # zero coordinates are skipped; the value is the dense sum
+    g3 = build_root_system("g3")
+    for v, w in (((1, 0, 0), (0, 1, 0)), ((0, 2, 0), (1, 0, 3)),
+                 ((Fraction(1, 2), 0, -1), (0, 0, 0)), ((3, -1, 2), (1, 1, Fraction(-1, 3)))):
+        dense = sum(Fraction(v[i]) * g3.gram[i][j] * w[j]
+                    for i in range(3) for j in range(3))
+        assert inner(g3, v, w) == dense
 
 
 def test_negation_closure():

@@ -60,6 +60,24 @@ def test_gram_matrices_positive_definite():
         assert gram_positive_definite(pair)
 
 
+def test_inner_examples():
+    f31 = f31_pair()
+    with pytest.raises(ValueError, match="dimension"):
+        f31.inner((1, 0), (1, 0, 0))
+    with pytest.raises(ValueError, match="dimension"):
+        f31.inner((1, 0, 0), (1, 0, 0, 0))
+    with pytest.raises(TypeError, match="exact"):
+        f31.inner((1, 0, 0.5), (1, 0, 0))
+    with pytest.raises(TypeError, match="exact"):
+        f31.inner((1, 0, 0), (0, 1.0, 0))
+    # zero coordinates are skipped; the value is the dense sum
+    for v, w in (((1, 0, 0), (0, 1, 0)), ((0, 2, 0), (1, 0, 3)),
+                 ((Fraction(1, 2), 0, -1), (0, 0, 0)), ((3, -1, 2), (1, 1, Fraction(-1, 3)))):
+        dense = sum(Fraction(v[i]) * f31.gram[i][j] * w[j]
+                    for i in range(3) for j in range(3))
+        assert f31.inner(v, w) == dense
+
+
 def test_casimir_eigenvalue_examples():
     g12 = g12_pair()
     zero = (0, 0)
