@@ -2,11 +2,14 @@
 
 Matrices are plain sequences of sequences of values accepted by
 ``fractions.Fraction``; every routine returns exact rationals.  Sizes stay
-in the dozens; storage is dense and every kernel is a polynomial-time
-elimination over ``Fraction``: Gaussian elimination for ranks and
-determinants, skew Schur-complement elimination for Pfaffians, and
-symmetric congruence elimination for the inertia of a quadratic form.
-``form`` is the one evaluation of a bilinear form v^T * G * w.
+in the dozens and storage is dense.  Ranks, determinants and Pfaffians
+come from fraction-free kernels: the matrix is scaled to integers once
+by an lcm of its denominators, and every elimination step divides
+exactly by the previous pivot, so the inner loops do integer arithmetic
+only.  One Bareiss elimination serves ``rank`` and ``det``, and its skew
+analogue serves ``pfaffian``.  Symmetric congruence elimination over
+``Fraction`` gives the inertia of a quadratic form.  ``form`` is the one
+evaluation of a bilinear form v^T * G * w.
 
 The fixed-point invariant of an odd isomorphism acting on a (2n|2n)-
 dimensional space is computed two ways:
@@ -24,6 +27,7 @@ this on random inputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -54,6 +58,13 @@ def mat(rows) -> Matrix:
     return out
 
 
+def integer_scaled(rows) -> tuple[list[list[int]], int]:
+    """Rows of exact values times d, as ints, and d: the lcm of the
+    denominators of all their entries (1 when there are none)."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
 def transpose(m) -> Matrix:
     m = mat(m)
     if not m:
@@ -71,66 +82,86 @@ def mat_mul(a, b) -> Matrix:
     )
 
 
-def form(gram, v, w) -> Fraction:
+def form(gram, v, w) -> int | Fraction:
     """The bilinear form v^T * gram * w in exact arithmetic.
 
-    ``gram`` holds exact entries, as from :func:`mat`; the coordinates of
-    ``v`` and ``w`` pass through :func:`as_fraction`.  Zero coordinates
-    are skipped, so a sparse vector costs only its support.
+    ``gram`` holds exact entries, as from :func:`mat` or as ints; ``int``
+    coordinates of ``v`` and ``w`` stay ``int`` and every other coordinate
+    passes through :func:`as_fraction`, so all-integer input gives an
+    ``int`` and any ``Fraction`` gives a ``Fraction`` (or ``0`` when ``v``
+    or ``w`` is zero).  Zero coordinates are skipped, so a sparse vector
+    costs only its support.
     """
-    vv = [as_fraction(x) for x in v]
-    ww = [as_fraction(x) for x in w]
+    vv = [x if isinstance(x, int) else as_fraction(x) for x in v]
+    ww = [x if isinstance(x, int) else as_fraction(x) for x in w]
     if len(vv) != len(gram) or len(ww) != len(gram):
         raise ValueError("dimension mismatch")
     support = [(j, y) for j, y in enumerate(ww) if y]
-    total = Fraction(0)
+    total = 0
     for x, row in zip(vv, gram):
         if x:
             total += x * sum(row[j] * y for j, y in support)
     return total
 
 
-def _echelon(rows: list[list[Fraction]]) -> tuple[int, Fraction]:
-    """In-place row echelon; returns (rank, product of pivots with swap sign)."""
-    sign = Fraction(1)
-    prod = Fraction(1)
-    rank = 0
+def _echelon(m: Matrix) -> tuple[int, int, int]:
+    """Bareiss' fraction-free row echelon: (rank, last pivot, scale).
+
+    Each row is scaled to integers by the lcm of its denominators; scale
+    is the product of these lcms.  Pivot search and row swaps are those of
+    Gaussian elimination.  With pivot p in the top row, every row below
+    becomes row[c] = (p * row[c] - f * top[c]) // prev, where f is the
+    row's entry in the pivot column and prev the previous pivot.  By
+    Sylvester's identity each entry is then a minor of the scaled matrix,
+    so the division is exact, and for a square matrix of full rank the
+    last pivot, signed by the swaps, is the determinant of the scaled
+    matrix (Bareiss 1968).
+    """
+    rows, scale = [], 1
+    for row in m:
+        [ints], d = integer_scaled([row])
+        rows.append(ints)
+        scale *= d
     ncols = len(rows[0]) if rows else 0
+    rank, sign, prev = 0, 1, 1
     for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
             sign = -sign
-        prod *= rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / rows[rank][col]
-                for c in range(col, ncols):
-                    rows[r][c] -= factor * rows[rank][c]
+        top = rows[rank][col:]
+        p = top[0]
+        for row in rows[rank + 1:]:
+            f = row[col]
+            if f or p != prev:
+                row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], top)]
+        prev = p
         rank += 1
-    return rank, sign * prod
+    return rank, sign * prev, scale
 
 
 def rank(m) -> int:
-    m = mat(m)
-    if not m:
-        return 0
-    r, _ = _echelon([list(row) for row in m])
-    return r
+    """Exact rank by Bareiss' fraction-free elimination."""
+    return _echelon(mat(m))[0]
 
 
 def det(m) -> Fraction:
-    """Exact determinant by Gaussian elimination."""
+    """Exact determinant by Bareiss' fraction-free elimination.
+
+    The rows are scaled to integers, every step divides exactly by the
+    previous pivot, and the determinant is the signed last pivot over the
+    product of the row scales.
+    """
     m = mat(m)
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of non-square matrix")
     if n == 0:
         return Fraction(1)
-    r, piv = _echelon([list(row) for row in m])
-    return piv if r == n else Fraction(0)
+    r, last, scale = _echelon(m)
+    return Fraction(last, scale) if r == n else Fraction(0)
 
 
 def is_skew(m) -> bool:
@@ -146,12 +177,17 @@ def pfaffian(m) -> Fraction:
 
     Sign convention: Pf([[0,1],[-1,0]]) = +1, and the Pfaffian of a
     direct sum of 2x2 blocks is the product of the block Pfaffians.
-    Skew Schur-complement elimination (Parlett-Reid): row k, the first
-    remaining index, is paired with the first remaining l that has
-    a[k][l] != 0; moving l next to k costs the sign (-1)^(pos-1), where
-    pos is l's position among the remaining indices after k, and
-    Pf = +-a[k][l] * Pf(S) with S the Schur complement of the (k, l)
-    block.  O(n^3) exact operations at every size.
+    Fraction-free skew elimination: the matrix is scaled to integers by
+    the lcm L of its denominators.  Index k, the first remaining one, is
+    paired with the first remaining l that has p = a[k][l] != 0; moving l
+    next to k costs the sign (-1)^(pos-1), where pos is l's position among
+    the remaining indices after k.  Every other entry becomes
+    (p * a[i][j] + a[i][k] * a[l][j] - a[i][l] * a[k][j]) // prev, with
+    prev the previous pivot: after t steps each entry is the Pfaffian of
+    the 2t + 2 indices made of the pivot pairs and (i, j), by the Pfaffian
+    form of Sylvester's identity, so the division is exact and the last
+    pivot, signed, is Pf(L * A) = L^(n/2) * Pf(A) (compare Rote 2001).
+    O(n^3) integer operations at every size.
     """
     m = mat(m)
     n = len(m)
@@ -159,30 +195,24 @@ def pfaffian(m) -> Fraction:
         raise ValueError("Pfaffian undefined for odd dimension")
     if not is_skew(m):
         raise ValueError("matrix is not skew-symmetric")
-    a = [list(row) for row in m]
-    idx = list(range(n))
-    result = Fraction(1)
-    while idx:
-        k = idx[0]
-        row_k = a[k]
-        pos = next((p for p in range(1, len(idx)) if row_k[idx[p]] != 0), None)
+    a, scale = integer_scaled(m)
+    sign, prev = 1, 1
+    while a:
+        top = a[0]
+        pos = next((q for q in range(1, len(a)) if top[q]), None)
         if pos is None:
             return Fraction(0)
-        l = idx[pos]
-        pivot = row_k[l]
-        result *= pivot if pos % 2 == 1 else -pivot
-        idx = idx[1:pos] + idx[pos + 1:]
-        row_l = a[l]
-        for p, i in enumerate(idx):
-            row_i = a[i]
-            u, v = row_i[k] / pivot, row_i[l] / pivot
-            if not u and not v:
-                continue
-            for j in idx[p + 1:]:
-                x = row_i[j] + u * row_l[j] - v * row_k[j]
-                row_i[j] = x
-                a[j][i] = -x
-    return result
+        p = top[pos]
+        if pos % 2 == 0:
+            sign = -sign
+        keep = [q for q in range(1, len(a)) if q != pos]
+        row_k = [top[q] for q in keep]
+        row_l = [a[pos][q] for q in keep]
+        a = [[(p * x + row[0] * y - row[pos] * z) // prev
+              for x, y, z in zip([row[q] for q in keep], row_l, row_k)]
+             for row in (a[q] for q in keep)]
+        prev = p
+    return Fraction(sign * prev, scale ** (n // 2))
 
 
 def inertia(sym) -> tuple[int, int, int]:

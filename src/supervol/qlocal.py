@@ -38,7 +38,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .exactnum import as_fraction
+from .exactnum import as_fraction, integer_scaled
 
 Params = tuple[Fraction, ...]
 
@@ -72,8 +72,7 @@ def seeded_param_vectors(n: int, count: int, seed: int) -> list[Params]:
 def _scaled(a: Params) -> tuple[list[int], int]:
     """a scaled to integers b by the lcm of its denominators, and the common
     denominator D = prod_{i<x} (b_i - b_x)."""
-    scale = math.lcm(*(x.denominator for x in a))
-    b = [int(x * scale) for x in a]
+    [b], _ = integer_scaled([a])
     return b, math.prod(x - y for x, y in itertools.combinations(b, 2))
 
 

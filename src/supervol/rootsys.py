@@ -27,7 +27,8 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import as_fraction, form, inertia, rank, reject_tuple_arithmetic
+from .exactnum import (as_fraction, form, inertia, integer_scaled, rank,
+                       reject_tuple_arithmetic)
 
 EVEN = "even"
 ODD = "odd"
@@ -210,34 +211,49 @@ def inner(system: RootSystem, v, w) -> Fraction:
     return form(system.gram, v, w)
 
 
+def _isotropic(system: RootSystem) -> tuple[list[list[int]], list[tuple[Root, list[int]]]]:
+    """The Gram matrix scaled to integers, and the isotropic odd roots,
+    each beside its coordinates scaled to integers by one common lcm.
+
+    Both scales are positive, so every zero test of the form, every sign
+    and the lexicographic order of coordinates are those of the exact
+    values; the defect search runs on these integers through ``form``.
+    """
+    gram, _ = integer_scaled(system.gram)
+    odd = [r for r in system.roots if r.parity == ODD]
+    coords, _ = integer_scaled([r.coords for r in odd])
+    return gram, [(r, c) for r, c in zip(odd, coords) if form(gram, c, c) == 0]
+
+
 def isotropic_roots(system: RootSystem) -> tuple[Root, ...]:
     """Odd roots with vanishing self-pairing."""
-    return tuple(
-        r for r in system.roots
-        if r.parity == ODD and inner(system, r.coords, r.coords) == 0
-    )
+    return tuple(r for r, _ in _isotropic(system)[1])
 
 
-def _positive_representatives(system: RootSystem) -> list[Root]:
+def _positive_representatives(system: RootSystem):
     """One root per pair {a, -a}, sign-normalized and canonically sorted.
 
     The sign makes the first nonzero coordinate positive; the sort key is
     (support positions, coordinate tuple), so e.g. in gl(m|n) the roots
     eps_i - delta_j come in the order of their index pairs (i, j).
+    Returns the integer Gram matrix of :func:`_isotropic` and the
+    representatives beside their integer coordinates.
     """
-    reps = set()
-    for r in isotropic_roots(system):
-        coords = r.coords
-        lead = next(c for c in coords if c != 0)
-        if lead < 0:
-            coords = tuple(-c for c in coords)
-        reps.add(coords)
+    gram, iso = _isotropic(system)
+    reps = {}
+    # the first root met of each pair is kept: a positive root listed first
+    # needs no negation
+    for r, c in iso:
+        flip = next(x for x in c if x) < 0
+        coords = tuple(-x for x in c) if flip else tuple(c)
+        if coords not in reps:
+            reps[coords] = -r if flip else r
 
     def key(coords):
         support = tuple(i for i, c in enumerate(coords) if c != 0)
         return (support, coords)
 
-    return [Root(c, ODD) for c in sorted(reps, key=key)]
+    return gram, [(reps[c], c) for c in sorted(reps, key=key)]
 
 
 def witt_index(system: RootSystem) -> int:
@@ -250,21 +266,25 @@ def witt_index(system: RootSystem) -> int:
     return min(pos, neg) + zero
 
 
-def _max_orthogonal_independent(system: RootSystem, reps: list[Root]) -> list[Root]:
-    """First maximum mutually orthogonal, linearly independent subset of reps.
+def _max_orthogonal_independent(system: RootSystem) -> list[Root]:
+    """First maximum mutually orthogonal, linearly independent subset of the
+    positive representatives.
 
-    Include-first depth-first branch and bound over the canonical rep
-    order: a branch is cut when it cannot beat the best set so far, and
-    the search stops once the best set reaches the Witt index.  The
-    result is the first maximum subset in include-first order.
+    Orthogonality and independence are decided on the integer coordinates
+    of :func:`_positive_representatives`.  Include-first depth-first branch
+    and bound over the canonical rep order: a branch is cut when it cannot
+    beat the best set so far, and the search stops once the best set
+    reaches the Witt index.  The result is the first maximum subset in
+    include-first order.
     """
+    gram, reps = _positive_representatives(system)
     bound = witt_index(system)
     n = len(reps)
     orthogonal: dict[tuple[int, int], bool] = {}
 
     def orth(j: int, i: int) -> bool:
         if (j, i) not in orthogonal:
-            orthogonal[j, i] = inner(system, reps[j].coords, reps[i].coords) == 0
+            orthogonal[j, i] = form(gram, reps[j][1], reps[i][1]) == 0
         return orthogonal[j, i]
 
     best: list[int] = []
@@ -283,17 +303,17 @@ def _max_orthogonal_independent(system: RootSystem, reps: list[Root]) -> list[Ro
             if len(best) == bound or len(chosen) + n - i <= len(best):
                 return
             if all(orth(j, i) for j in chosen):
-                vecs = [reps[j].coords for j in chosen] + [reps[i].coords]
+                vecs = [reps[j][1] for j in chosen] + [reps[i][1]]
                 if rank(vecs) == len(vecs):
                     extend(i + 1, chosen + [i])
 
     extend(0, [])
-    return [reps[i] for i in best]
+    return [reps[i][0] for i in best]
 
 
 def defect(system: RootSystem) -> int:
     """Maximal number of mutually orthogonal, independent isotropic roots."""
-    return len(_max_orthogonal_independent(system, _positive_representatives(system)))
+    return len(_max_orthogonal_independent(system))
 
 
 def defect_subgroup_roots(system: RootSystem) -> list[tuple[Root, Root]]:
@@ -303,7 +323,7 @@ def defect_subgroup_roots(system: RootSystem) -> list[tuple[Root, Root]]:
     here is the first maximum set in the canonical representative order,
     which for gl(m|n) is the diagonal family eps_i - delta_i.
     """
-    chosen = _max_orthogonal_independent(system, _positive_representatives(system))
+    chosen = _max_orthogonal_independent(system)
     if not chosen:
         raise ValueError("no isotropic roots")
     return [(r, -r) for r in chosen]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -170,12 +171,91 @@ def test_inertia_congruence_invariance():
         checked += 1
 
 
+def random_matrix(rows, cols, rng, density=1.0, max_den=1):
+    return [[Fraction(rng.randint(-5, 5), rng.randint(1, max_den))
+             if rng.random() < density else Fraction(0) for _ in range(cols)]
+            for _ in range(rows)]
+
+
 def test_det_matches_cofactor_oracle():
     rng = random.Random(11)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        m = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
-        assert exactnum.det(m) == det_cofactor(m)
+    for density, max_den in itertools.product((1.0, 0.4), (1, 9)):
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            m = random_matrix(n, n, rng, density, max_den)
+            assert exactnum.det(m) == det_cofactor(m)
+        for n in range(2, 6):
+            # zero leading entries force row swaps
+            m = random_matrix(n, n, rng, density, max_den)
+            for row in m[:-1]:
+                row[0] = Fraction(0)
+            m[-1][0] = Fraction(rng.choice((-3, 1, 2)), rng.randint(1, max_den))
+            assert exactnum.det(m) == det_cofactor(m)
+            # singular: the last row is a rational combination of the others
+            m = random_matrix(n, n, rng, density, max_den)
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, max_den))
+            m[-1] = [c * x + y for x, y in zip(m[0], m[-2])]
+            assert exactnum.det(m) == det_cofactor(m) == 0
+
+
+def rank_oracle(m):
+    """The largest k with a nonzero k x k minor, by cofactor expansion."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    for k in range(min(rows, cols), 0, -1):
+        for ri in itertools.combinations(range(rows), k):
+            for ci in itertools.combinations(range(cols), k):
+                if det_cofactor([[m[i][j] for j in ci] for i in ri]) != 0:
+                    return k
+    return 0
+
+
+@pytest.mark.parametrize("max_den", [1, 9])
+def test_rank_matches_minor_oracle(max_den):
+    rng = random.Random(37 + max_den)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = random_matrix(rows, cols, rng, rng.choice((1.0, 0.5, 0.2)), max_den)
+        if rng.random() < 0.3:
+            m[rng.randrange(rows)] = [Fraction(0)] * cols
+        if rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = Fraction(0)
+        if rows > 1 and rng.random() < 0.3:
+            m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
+        assert exactnum.rank(m) == rank_oracle(m), m
+    assert exactnum.rank([]) == 0
+    assert exactnum.rank([[0, 0, 0]]) == 0
+    assert exactnum.rank([[0], [0]]) == 0
+    assert exactnum.rank([[0, 1], [0, 2], [0, 3]]) == 1
+    assert exactnum.rank([[0, 0, 1], [1, 0, 0]]) == 2
+    assert exactnum.rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+
+
+skew_fractions = st.integers(min_value=0, max_value=4).flatmap(
+    lambda half: st.lists(
+        st.one_of(st.just(Fraction(0)),
+                  st.fractions(min_value=-9, max_value=9, max_denominator=9)),
+        min_size=half * (2 * half - 1), max_size=half * (2 * half - 1))
+    .map(lambda upper: skew_from_upper(2 * half, upper)))
+
+
+def skew_from_upper(n, upper):
+    m = [[Fraction(0)] * n for _ in range(n)]
+    entries = iter(upper)
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = next(entries)
+            m[j][i] = -m[i][j]
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(skew_fractions)
+def test_pfaffian_property_against_matchings_and_det(m):
+    pf = pfaffian(m)
+    assert pf == pfaffian_matchings(m)
+    assert pf ** 2 == exactnum.det(m)
 
 
 def test_pfaffian_congruence_scaling():

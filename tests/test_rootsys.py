@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from supervol import rootsys
+from supervol.exactnum import form
 from supervol.rootsys import (
     EVEN,
     ODD,
@@ -133,6 +134,7 @@ def test_defect_search_order_invariance():
         shuffled = rootsys.RootSystem(system.family, system.params,
                                       system.gram, tuple(roots))
         assert defect(shuffled) == 3
+        assert defect_subgroup_roots(shuffled) == defect_subgroup_roots(system)
 
 
 WITT_FAMILIES = (
@@ -214,3 +216,66 @@ def test_invalid_families_and_params():
         build_root_system("d21a", 0)
     with pytest.raises(ValueError, match="alpha"):
         build_root_system("d21a", -1)
+
+
+INTEGER_ROUTE_FAMILIES = (
+    [(fam, (m, n)) for fam in ("gl", "sl") for m in range(5) for n in range(5)]
+    + [("osp", key) for key in ((1, 2), (2, 2), (3, 2), (4, 2), (4, 4), (5, 4),
+                                (6, 4), (6, 6), (8, 8))]
+    + [("d21a", (alpha,)) for alpha in (Fraction(1), Fraction(2, 3), Fraction(-1, 2))]
+    + [("g3", ()), ("f4", ())]
+)
+
+
+@pytest.mark.parametrize("family,params", INTEGER_ROUTE_FAMILIES)
+def test_integer_defect_route_matches_exact_form(family, params):
+    """The search scales the Gram matrix and the odd roots to integers;
+    its answers must be those of the exact form on the original roots."""
+    system = build_root_system(family, *params)
+    assert isotropic_roots(system) == tuple(
+        r for r in system.roots
+        if r.parity == ODD and inner(system, r.coords, r.coords) == 0)
+    if not isotropic_roots(system):
+        return
+    pairs = defect_subgroup_roots(system)
+    assert len(pairs) == defect(system)
+    chosen = [plus.coords for plus, _ in pairs]
+    assert all(c in {r.coords for r in system.roots} for c in chosen)
+    for i, v in enumerate(chosen):
+        for w in chosen[i:]:
+            assert inner(system, v, w) == 0
+
+
+def test_defect_witnesses_literal():
+    f = Fraction
+    h = Fraction(1, 2)
+    expected = {
+        ("gl", (2, 3)): [(1, 0, -1, 0, 0), (0, 1, 0, -1, 0)],
+        ("d21a", (f(1, 2),)): [(1, -1, -1)],
+        ("osp", (5, 4)): [(1, 0, -1, 0), (0, 1, 0, -1)],
+        ("f4", ()): [(h, -h, -h, -h)],
+    }
+    for (family, params), coords in expected.items():
+        pairs = defect_subgroup_roots(build_root_system(family, *params))
+        assert [plus.coords for plus, _ in pairs] == [tuple(map(f, c)) for c in coords]
+        assert all(isinstance(x, Fraction) for plus, minus in pairs
+                   for x in plus.coords + minus.coords)
+
+
+def test_form_on_integers_matches_fraction_evaluation():
+    rng = random.Random(41)
+    for family, params in (("gl", (3, 2)), ("g3", ()), ("f4", ()), ("osp", (5, 4))):
+        system = build_root_system(family, *params)
+        dim = system.dim
+        int_gram = [[int(x) for x in row] for row in system.gram]
+        for _ in range(20):
+            v = [rng.randint(-3, 3) for _ in range(dim)]
+            w = [rng.choice((0, 0, 1, -2, 5)) for _ in range(dim)]
+            value = form(int_gram, v, w)
+            assert type(value) is int
+            assert value == form(system.gram, [Fraction(x) for x in v],
+                                 [Fraction(x) for x in w])
+    with pytest.raises(TypeError, match="exact"):
+        form([[1, 0], [0, 1]], (1, 0.5), (1, 0))
+    with pytest.raises(TypeError, match="exact"):
+        form([[1, 0], [0, 1]], (1, 0), (2.0, 1))
