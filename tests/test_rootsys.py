@@ -240,7 +240,7 @@ def test_integer_defect_route_matches_exact_form(family, params):
     pairs = defect_subgroup_roots(system)
     assert len(pairs) == defect(system)
     chosen = [plus.coords for plus, _ in pairs]
-    assert all(c in {r.coords for r in system.roots} for c in chosen)
+    assert set(chosen) <= {r.coords for r in system.roots}
     for i, v in enumerate(chosen):
         for w in chosen[i:]:
             assert inner(system, v, w) == 0
