@@ -190,7 +190,10 @@ def _cmd_casimir(args):
     else:
         pair = sympair.f31_pair()
     value = sympair.casimir_eigenvalue(pair, args.weight)
-    positive = sympair.positivity_check(pair, args.weight)
+    # the hypothesis of sympair.positivity_check, on the value just computed
+    if not any(args.weight):
+        raise ValueError("excluded by hypothesis")
+    positive = value > 0
     _emit(args, "casimir",
           {"pair": pair.name, "weight": [str(w) for w in args.weight]},
           {"eigenvalue": str(value), "positive": positive,

@@ -7,9 +7,11 @@ come from fraction-free kernels: the matrix is scaled to integers once
 by an lcm of its denominators, and every elimination step divides
 exactly by the previous pivot, so the inner loops do integer arithmetic
 only.  One Bareiss elimination serves ``rank`` and ``det``, and its skew
-analogue serves ``pfaffian``.  Symmetric congruence elimination over
-``Fraction`` gives the inertia of a quadratic form.  ``form`` is the one
-evaluation of a bilinear form v^T * G * w.
+analogue serves ``pfaffian``.  ``mat_mul`` scales each operand to integers
+once, takes integer dot products and makes one ``Fraction`` per entry.
+Symmetric congruence elimination over ``Fraction`` gives the inertia of a
+quadratic form.  ``form`` is the one evaluation of a bilinear form
+v^T * G * w.
 
 The fixed-point invariant of an odd isomorphism acting on a (2n|2n)-
 dimensional space is computed two ways:
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -73,13 +76,17 @@ def transpose(m) -> Matrix:
 
 
 def mat_mul(a, b) -> Matrix:
+    """The product a * b: each operand is scaled to integers once, by the
+    lcm da or db of its denominators, and each entry is one integer dot
+    product over da * db."""
     a, b = mat(a), mat(b)
     if a and len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    ai, da = integer_scaled(a)
+    bi, db = integer_scaled(b)
+    cols = list(zip(*bi))
+    d = da * db
+    return tuple(tuple(Fraction(sum(map(mul, row, col)), d) for col in cols) for row in ai)
 
 
 def form(gram, v, w) -> int | Fraction:

@@ -46,7 +46,8 @@ Params = tuple[Fraction, ...]
 def validate_params(a: Sequence) -> Params:
     """Check a_i != 0 and a_i +- a_j != 0 for i != j; return as Fractions."""
     vals = tuple(as_fraction(x) for x in a)
-    if 0 in vals or len({abs(x) for x in vals}) < len(vals):
+    # (|numerator|, denominator) pairs: hashing a Fraction costs a modular inverse
+    if 0 in vals or len({(abs(x.numerator), x.denominator) for x in vals}) < len(vals):
         raise ValueError("degenerate parameters")
     return vals
 
@@ -88,50 +89,67 @@ def _pair_factor(bi: int, bx: int, i_in: int, x_in: int, p: int, q: int) -> int:
     return q * bi - p * bx if i_in else p * bi - q * bx
 
 
-def _half(f: list, start: int, stop: int) -> list:
-    """(sides, own, cross) for each side vector of the positions start..stop-1,
-    side 1 meaning in S: own is the product of the pair factors inside, and
-    cross[2 (x - stop) + s] that of the factors with a later position x on side s."""
+def _half(f: list, start: int, stop: int, lo: int, hi: int) -> list:
+    """(count, sides, own, cross) for each side vector of the positions
+    start..stop-1, side 1 meaning in S, whose count in S is at most hi and,
+    with every position of the half still to come put in S, at least lo:
+    own is the product of the pair factors inside, and cross[2 (x - stop) + s]
+    that of the factors with a later position x on side s."""
     # lists: a tuple built from an iterator is resized to its length, which
     # leaves CPython's per-size tuple free lists holding memory across calls
-    states = [((), 1, [1] * 2 * (len(f) - start))]
+    states = [(0, (), 1, [1] * 2 * (len(f) - start))]
     for i in range(start, stop):
-        states = [(sides + (s,), own * cross[s], list(map(operator.mul, cross[2:], f[i][s])))
-                  for sides, own, cross in states for s in (0, 1)]
+        least = lo - (stop - 1 - i)
+        states = [(count + s, sides + (s,), own * cross[s],
+                   list(map(operator.mul, cross[2:], f[i][s])))
+                  for count, sides, own, cross in states for s in (0, 1)
+                  if least <= count + s <= hi]
     return states
 
 
-def _fixed_point_sum(k: int, a: Params, t: Fraction) -> Fraction:
-    """Sum of prod (a_i - t a_j) / (a_i - a_j), i in S, j not in S, over every
-    k-subset S, with every term added exactly.  On a scaled to integers b and
-    t = p/q, the term of S is the product of its pair factors over the one
-    denominator q^(k(n-k)) D.  The positions split into a low half
-    L = {0..h-1}, h = n // 2, and a high half H, and the term factors as
-    own(S & L) own(S & H) prod_{x in H} cross_x(x in S, S & L).  One row per
-    side vector of L, grouped by its count in S, holds its 2|H| cross products
-    and then its own product.  Each side vector of H picks its |H| cross
-    entries and the own entry from every row that completes k, so the inner
-    loop over the rows runs in C."""
+def _fixed_point_sums(ks: Sequence[int], a: Params, t: Fraction) -> list[Fraction]:
+    """For each k in ks, the sum of prod (a_i - t a_j) / (a_i - a_j), i in S,
+    j not in S, over every k-subset S, with every term added exactly.  On a
+    scaled to integers b and t = p/q, the term of S is the product of its
+    pair factors over the one denominator q^(k(n-k)) D.  The positions split
+    into a low half L = {0..h-1}, h = n // 2, and a high half H, and the
+    term factors as own(S & L) own(S & H) prod_{x in H} cross_x(x in S, S & L).
+    One row per side vector of L, grouped by its count in S, holds its 2|H|
+    cross products and then its own product.  Each side vector of H with
+    count c picks its |H| cross entries and the own entry from every row of
+    count low with low + c in ks, into the total of k = low + c, so the inner
+    loop over the rows runs in C.  The factor tables are built once for all
+    of ks, and each half keeps only side vectors that can still complete a
+    count in [min(ks), max(ks)]."""
     p, q = t.numerator, t.denominator
     b, common = _scaled(a)
     n = len(b)
     h = n // 2
+    lo, hi = min(ks), max(ks)
+    wanted = set(ks)
     # f[i][s]: the factors of i on side s with each later x on side 0, then 1
     f = [[[_pair_factor(b[i], b[x], s, x_in, p, q) for x in range(i + 1, n) for x_in in (0, 1)]
           for s in (0, 1)] for i in range(n)]
     rows: list[list[tuple[int, ...]]] = [[] for _ in range(h + 1)]
-    for sides, own, cross in _half(f, 0, h):
-        rows[sum(sides)].append((*cross, own))
-    total = 0
-    for sides, own, _ in _half(f, h, n):
-        low = k - sum(sides)
-        if 0 <= low <= h:
-            # the own entry sits at 2|H|; with H empty (n = 0) it is the one
-            # pick, which itemgetter would return bare rather than as a tuple
-            picks = [2 * j + s for j, s in enumerate(sides)] + [2 * (n - h)]
-            getter = operator.itemgetter(*picks) if len(picks) > 1 else tuple
-            total += own * sum(map(math.prod, map(getter, rows[low])))
-    return Fraction(total, common * q ** (k * (n - k)))
+    for count, _, own, cross in _half(f, 0, h, lo - (n - h), hi):
+        rows[count].append((*cross, own))
+    # targets[c]: the low counts that complete a k in ks with c high ones
+    targets = [[low for low in range(h + 1) if low + c in wanted and rows[low]]
+               for c in range(n - h + 1)]
+    totals = [0] * (n + 1)
+    for count, sides, own, _ in _half(f, h, n, lo - h, hi):
+        # the own entry sits at 2|H|; with H empty (n = 0) it is the one
+        # pick, which itemgetter would return bare rather than as a tuple
+        picks = [2 * j + s for j, s in enumerate(sides)] + [2 * (n - h)]
+        getter = operator.itemgetter(*picks) if len(picks) > 1 else tuple
+        for low in targets[count]:
+            totals[low + count] += own * sum(map(math.prod, map(getter, rows[low])))
+    return [Fraction(totals[k], common * q ** (k * (n - k))) for k in ks]
+
+
+def _check_size(n: int) -> None:
+    if n > 14:
+        raise ValueError("subset sums bounded at n <= 14")
 
 
 def localization_sum(r: int, n: int, a: Sequence, t: Fraction | int) -> Fraction:
@@ -141,11 +159,10 @@ def localization_sum(r: int, n: int, a: Sequence, t: Fraction | int) -> Fraction
     vals = validate_params(a)
     if not 0 <= r <= n:
         raise ValueError("require 0 <= r <= n")
-    if n > 14:
-        raise ValueError("subset sums bounded at n <= 14")
+    _check_size(n)
     if len(vals) != n:
         raise ValueError("parameter vector has wrong length")
-    return _fixed_point_sum(r, vals, as_fraction(t))
+    return _fixed_point_sums((r,), vals, as_fraction(t))[0]
 
 
 def gaussian_binomial(n: int, r: int, t: Fraction | int) -> Fraction:
@@ -182,21 +199,24 @@ class LocalizationReport(NamedTuple):
     agrees: bool
 
 
-def c_bruteforce(r: int, n: int, samples: Sequence[Sequence]) -> LocalizationReport:
-    """Exact subset sum over all r-subsets, per parameter sample.
+def _consensus(sums: list):
+    """The value that every parameter sample gives.
 
-    The sum must not depend on the parameters; disagreement across
+    The sums must not depend on the parameters; disagreement across
     samples raises (it never fires -- that independence is the primary
-    property under test).  At least one sample is required, and n <= 14.
+    property under test).  At least one sample is required.
     """
-    totals = [localization_sum(r, n, a, -1) for a in samples]
-    if not totals:
+    if not sums:
         raise ValueError("at least one parameter sample is required")
-    consensus = totals[0]
-    agrees = all(total == consensus for total in totals)
-    if not agrees:
+    if any(total != sums[0] for total in sums):
         raise ValueError("parameter dependence detected")
-    return LocalizationReport(consensus, agrees)
+    return sums[0]
+
+
+def c_bruteforce(r: int, n: int, samples: Sequence[Sequence]) -> LocalizationReport:
+    """Exact subset sum over all r-subsets, per parameter sample, which
+    must all agree; at least one sample is required, and n <= 14."""
+    return LocalizationReport(_consensus([localization_sum(r, n, a, -1) for a in samples]), True)
 
 
 def c_closed(r: int, n: int) -> int:
@@ -210,12 +230,16 @@ def c_closed(r: int, n: int) -> int:
 
 
 def brute_c_table(nmax: int, seed: int, count: int = 3) -> dict[tuple[int, int], Fraction]:
-    """Consensus brute-force table for all 0 <= r <= n <= nmax."""
+    """Consensus brute-force table for all 0 <= r <= n <= nmax: one pass per
+    parameter sample sums every r at once, and the samples must agree
+    exactly at every (r, n)."""
     table = {}
     for n in range(nmax + 1):
-        samples = seeded_param_vectors(n, count, seed + n)
-        for r in range(n + 1):
-            table[(r, n)] = c_bruteforce(r, n, samples).consensus
+        _check_size(n)
+        ks = range(n + 1)
+        sums = _consensus([_fixed_point_sums(ks, a, Fraction(-1))
+                           for a in seeded_param_vectors(n, count, seed + n)])
+        table.update(((r, n), total) for r, total in zip(ks, sums))
     return table
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import as_fraction, det, form, inertia, mat
+from .exactnum import as_fraction, det, form, inertia, integer_scaled, mat
 
 Vector = tuple[Fraction, ...]
 
@@ -101,11 +101,18 @@ def rho_coefficients(pair: RestrictedPair) -> tuple[Vector, bool]:
     return pair.rho, all(c >= 0 for c in pair.rho)
 
 
+def _eigenvalue(pair: RestrictedPair, w: Vector) -> Fraction:
+    """(w + 2 rho, w) for a weight of Fractions: with w and rho scaled to
+    integers W, R by one lcm d and the Gram matrix to G by e, it is the
+    integer (W + 2 R)^T G W over e d^2."""
+    (ws, rs), d = integer_scaled([w, pair.rho])
+    gram, e = integer_scaled(pair.gram)
+    return Fraction(form(gram, [x + 2 * y for x, y in zip(ws, rs)], ws), e * d * d)
+
+
 def casimir_eigenvalue(pair: RestrictedPair, weight) -> Fraction:
     """Exact value of (weight + 2 rho, weight) under the pair's form."""
-    w = tuple(as_fraction(x) for x in weight)
-    shifted = tuple(wi + 2 * ri for wi, ri in zip(w, pair.rho))
-    return pair.inner(shifted, w)
+    return _eigenvalue(pair, tuple(as_fraction(x) for x in weight))
 
 
 def positivity_check(pair: RestrictedPair, weight) -> bool:
@@ -116,9 +123,9 @@ def positivity_check(pair: RestrictedPair, weight) -> bool:
     nonnegative, so (w, w) + 2 sum c_i (w, alpha_i) > 0.
     """
     w = tuple(as_fraction(x) for x in weight)
-    if all(x == 0 for x in w):
+    if not any(w):
         raise ValueError("excluded by hypothesis")
-    return casimir_eigenvalue(pair, w) > 0
+    return _eigenvalue(pair, w) > 0
 
 
 def fundamental_weights(pair: RestrictedPair) -> tuple[Vector, ...]:

@@ -12,6 +12,7 @@ so runs are reproducible.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -230,14 +231,16 @@ def _casimir_outcomes(points_per_pair: int):
         yield (pair.name, "gram"), positive
         if not positive:
             continue
-        fund = sympair.fundamental_weights(pair)
         grid = _dominant_grid(pair.rank, points_per_pair)
-        for coeffs in grid:
+        # the fundamental weights W_j over one lcm d and the grid points c
+        # over one lcm g, as integers: the weight sum_j c_j W_j is an integer
+        # combination over g d
+        fund, d = exactnum.integer_scaled(sympair.fundamental_weights(pair))
+        numerators, g = exactnum.integer_scaled(grid)
+        columns = list(zip(*fund))
+        for coeffs, c in zip(grid, numerators):
             # a nonnegative combination of fundamental weights: dominant
-            weight = tuple(
-                sum(t * w[i] for t, w in zip(coeffs, fund))
-                for i in range(pair.rank)
-            )
+            weight = tuple(Fraction(sum(map(operator.mul, c, col)), g * d) for col in columns)
             yield (pair.name, coeffs), sympair.positivity_check(pair, weight)
         yield (pair.name, "grid-size", len(grid)), len(grid) >= points_per_pair
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supervol import cli, qlocal, rootsys
+from supervol import cli, qlocal, rootsys, sympair
 from supervol.grassvol import VolumeExpr
 from supervol.schema import ENVELOPE_SCHEMA, VOLUME_EXPR_SCHEMA
 
@@ -150,6 +150,26 @@ def test_casimir():
                                   "dominant": False}
     envelope = main_json("casimir", "osp", "1", "--m", "1", "--n", "3")
     assert envelope["result"]["positive"] is True
+
+
+def test_casimir_computes_the_eigenvalue_once(capsys, monkeypatch):
+    calls = []
+    real = sympair.casimir_eigenvalue
+
+    def counted(pair, weight):
+        calls.append(weight)
+        return real(pair, weight)
+
+    monkeypatch.setattr(sympair, "casimir_eigenvalue", counted)
+    monkeypatch.setattr(sympair, "positivity_check", None)
+    code, out, _ = run_cli(capsys, "casimir", "g12", "1/2,-3/4")
+    assert code == 0 and len(calls) == 1
+    assert out == "(weight + 2 rho, weight) = 75/8 (positive: True)\n"
+    code, out, err = run_cli(capsys, "casimir", "g12", "0,0")
+    assert code == 1 and out == "" and err == "error: excluded by hypothesis\n"
+    # a wrong-length weight is a dimension mismatch, zero or not
+    code, _, err = run_cli(capsys, "casimir", "g12", "0,0,0")
+    assert code == 1 and err == "error: dimension mismatch\n"
 
 
 # Gram matrices and rho of the built-in pairs, written out independently
@@ -400,12 +420,17 @@ def test_localize_is_bounded(capsys):
 
 def test_disagreement_exits_one(capsys, monkeypatch):
     real = qlocal.c_bruteforce
+    real_table = qlocal.brute_c_table
 
     def off_by_one(r, n, samples):
         report = real(r, n, samples)
         return report._replace(consensus=report.consensus + 1)
 
+    def table_off_by_one(nmax, seed, count=3):
+        return {case: value + 1 for case, value in real_table(nmax, seed, count).items()}
+
     monkeypatch.setattr(qlocal, "c_bruteforce", off_by_one)
+    monkeypatch.setattr(qlocal, "brute_c_table", table_off_by_one)
     code, out, _ = run_cli(capsys, "c-table", "3", "--brute")
     assert code == 1 and "brute force agrees: False" in out
     code, out, _ = run_cli(capsys, "qvolume", "2", "4", "--brute", "--format", "json")

@@ -276,6 +276,35 @@ def test_mat_mul_shape_check():
             mat_mul(a, b)
 
 
+def mat_mul_oracle(a, b):
+    """The product by the triple loop, one Fraction product and sum at a time."""
+    rows, inner = len(a), len(b)
+    cols = len(b[0]) if b else 0
+    return tuple(tuple(sum((Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(inner)),
+                           Fraction(0)) for j in range(cols)) for i in range(rows))
+
+
+def test_mat_mul_matches_triple_loop_oracle():
+    rng = random.Random(13)
+
+    def entry():
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+
+    shapes = [(0, 3, 2), (3, 0, 0), (2, 3, 0), (1, 1, 1), (4, 1, 3)]
+    shapes += [tuple(rng.randint(1, 6) for _ in range(3)) for _ in range(60)]
+    for rows, inner, cols in shapes:
+        a = [[entry() for _ in range(inner)] for _ in range(rows)]
+        b = [[entry() for _ in range(cols)] for _ in range(inner)]
+        product = mat_mul(a, b)
+        assert product == mat_mul_oracle(a, b), (a, b)
+        assert len(product) == rows
+        assert all(type(x) is Fraction for row in product for x in row)
+    # a k x 0 left operand times the empty right operand gives k empty rows
+    assert mat_mul([[], []], []) == ((), ())
+    # int and string input is scaled like Fractions
+    assert mat_mul([[1, "1/2"]], [["2/3"], [-4]]) == ((Fraction(-4, 3),),)
+
+
 def test_alpha_pfaffian_regular_module():
     # non-realified 1x1 blocks fail the skewness check; realified they give 1
     with pytest.raises(ValueError, match="basis not adapted"):

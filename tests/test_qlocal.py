@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supervol import exactnum, verify
+from supervol import exactnum, qlocal, verify
 from supervol.qlocal import (
     alpha_subset,
     brute_c_table,
@@ -173,6 +173,63 @@ def test_brute_table_is_gaussian_binomial_at_minus_one():
     table = brute_c_table(6, 7)
     assert all(table[(r, n)] == gaussian_binomial(n, r, -1)
                for n in range(1, 7) for r in range(1, n + 1))
+
+
+def test_all_k_kernel_matches_per_r_sums():
+    # n = 0 and n = 1 leave one half empty, odd n gives unequal halves, and
+    # r = 0 and r = n keep a single side vector per half
+    ts = (-1, 1) + tuple(Fraction(p, q) for p, q in ((-3, 7), (5, 2), (2, 9)))
+    for n in range(11):
+        vectors = seeded_param_vectors(n, 2, 1100 + n) + [FRACTIONAL_PARAMS[:n]]
+        for a, t in itertools.product(vectors, ts):
+            sums = qlocal._fixed_point_sums(range(n + 1), validate_params(a), t)
+            assert len(sums) == n + 1
+            for r, total in enumerate(sums):
+                assert type(total) is Fraction
+                assert total == localization_sum(r, n, a, t) == gaussian_binomial(n, r, t), \
+                    (a, r, t)
+
+
+def test_kernel_sums_any_set_of_counts():
+    # the halves keep only side vectors that can reach [min(ks), max(ks)],
+    # and counts inside that range but outside ks get no total
+    a = validate_params(MIXED_PARAMS[:7])
+    for ks in ((0,), (7,), (0, 7), (3, 1), (2, 4, 5), (6, 2)):
+        assert qlocal._fixed_point_sums(ks, a, Fraction(-1)) == \
+            [gaussian_binomial(7, k, -1) for k in ks]
+
+
+def test_brute_table_matches_per_r_consensus():
+    table = brute_c_table(9, 40, 2)
+    assert set(table) == {(r, n) for n in range(10) for r in range(n + 1)}
+    for n in range(10):
+        vectors = seeded_param_vectors(n, 2, 40 + n)
+        for r in range(n + 1):
+            assert table[(r, n)] == c_bruteforce(r, n, vectors).consensus == c_closed(r, n)
+
+
+def test_brute_table_raises_on_parameter_dependence(monkeypatch):
+    real = qlocal._fixed_point_sums
+
+    def sample_dependent(ks, a, t):
+        sums = real(ks, a, t)
+        # one sample at n = 5 is off at r = 2 only
+        if len(a) == 5 and a == seeded_param_vectors(5, 3, 5)[1]:
+            sums[2] += 1
+        return sums
+
+    monkeypatch.setattr(qlocal, "_fixed_point_sums", sample_dependent)
+    assert brute_c_table(4, 0) == {(r, n): c_closed(r, n) for n in range(5) for r in range(n + 1)}
+    with pytest.raises(ValueError, match="parameter dependence detected"):
+        brute_c_table(5, 0)
+
+
+def test_brute_table_errors():
+    assert brute_c_table(-1, 0) == {}
+    with pytest.raises(ValueError, match="at least one"):
+        brute_c_table(3, 0, 0)
+    with pytest.raises(ValueError, match="bounded at n <= 14"):
+        brute_c_table(15, 0, 1)
 
 
 def test_gaussian_binomial_specialisations():

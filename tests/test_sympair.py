@@ -92,6 +92,40 @@ def test_casimir_eigenvalue_examples():
     assert casimir_eigenvalue(pair, alpha) == 3 * pair.inner(alpha, alpha)
 
 
+def test_casimir_eigenvalue_literal_values():
+    # Fraction and negative weights, with values as computed by the Fraction
+    # evaluation of (weight + 2 rho, weight) that the integer form replaced
+    cases = (
+        (g12_pair(), (Fraction(1, 2), Fraction(-3, 4)), Fraction(75, 8)),
+        (g12_pair(), (-2, Fraction(1, 3)), Fraction(140, 9)),
+        (g12_pair(), (Fraction(-7, 5), Fraction(9, 2)), Fraction(3633, 50)),
+        (f31_pair(), (Fraction(3, 2), 0, Fraction(-5, 6)), Fraction(-137, 18)),
+        (f31_pair(), (-1, Fraction(1, 3), 0), Fraction(190, 9)),
+        (f31_pair(), (Fraction(2, 7), Fraction(-1, 4), Fraction(5, 9)), Fraction(117295, 7938)),
+        (osp_pair(1, 3), (Fraction(-5, 7),), Fraction(-90, 49)),
+        (osp_pair(0, 4), (Fraction(3, 10),), Fraction(189, 50)),
+        (osp_pair(2, 5), (-3,), Fraction(-6)),
+        (osp_pair(2, 3), (Fraction(-1, 2),), Fraction(1, 2)),
+    )
+    for pair, weight, expected in cases:
+        value = casimir_eigenvalue(pair, weight)
+        assert type(value) is Fraction and value == expected, (pair.name, weight)
+        assert positivity_check(pair, weight) == (expected > 0)
+
+
+def test_casimir_eigenvalue_rejects_bad_weights():
+    for pair in builtin_pairs(1, 3):
+        for weight in ((1,) * (pair.rank + 1), (1,) * (pair.rank - 1)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                casimir_eigenvalue(pair, weight)
+        with pytest.raises(TypeError, match="exact"):
+            casimir_eigenvalue(pair, (0.5,) * pair.rank)
+        with pytest.raises(TypeError, match="exact"):
+            positivity_check(pair, (0.5,) * pair.rank)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        positivity_check(g12_pair(), (1, 0, 0))
+
+
 def test_positivity_check_examples():
     for pair in builtin_pairs(1, 3):
         assert positivity_check(pair, (1,) + (0,) * (pair.rank - 1))
