@@ -163,8 +163,11 @@ def test_casimir_computes_the_eigenvalue_once(capsys, monkeypatch):
     monkeypatch.setattr(sympair, "casimir_eigenvalue", counted)
     monkeypatch.setattr(sympair, "positivity_check", None)
     code, out, _ = run_cli(capsys, "casimir", "g12", "1/2,-3/4")
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and calls == [[Fraction(1, 2), Fraction(-3, 4)]]
     assert out == "(weight + 2 rho, weight) = 75/8 (positive: True)\n"
+    # w = -2 rho is nonzero with (w + 2 rho, w) = 0, which is not positive
+    code, out, _ = run_cli(capsys, "casimir", "g12", "--", "-2,-2")
+    assert code == 0 and out == "(weight + 2 rho, weight) = 0 (positive: False)\n"
     code, out, err = run_cli(capsys, "casimir", "g12", "0,0")
     assert code == 1 and out == "" and err == "error: excluded by hypothesis\n"
     # a wrong-length weight is a dimension mismatch, zero or not

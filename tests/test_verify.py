@@ -1,7 +1,8 @@
 import math
 import re
+from fractions import Fraction
 
-from supervol import qlocal, verify
+from supervol import qlocal, sympair, verify
 
 
 def test_run_all_calls_every_check_once(monkeypatch):
@@ -67,3 +68,29 @@ def test_broken_brute_table_fails_the_recursion_check():
     result = verify.check_c_recursions(table, 20, 12)
     assert not result.passed
     assert result.detail.endswith("; 288 cases, 1 failures, first (3, 9)")
+
+
+def test_casimir_sweep_weights_are_the_fraction_combinations(monkeypatch):
+    # positivity cannot see a positive rescaling of a dominant weight, so
+    # the weights themselves are compared with sum_j c_j w_j in Fractions
+    seen = []
+    real = sympair.positivity_check
+
+    def record(pair, weight):
+        seen.append((pair.name, weight))
+        return real(pair, weight)
+
+    monkeypatch.setattr(sympair, "positivity_check", record)
+    result = verify.check_casimir_positivity()
+    assert result.passed and "1760 cases, 0 failures" in result.detail
+    pairs = sympair.builtin_pairs(1, 3) + [sympair.osp_pair(2, 3), sympair.osp_pair(2, 5)]
+    expected = []
+    for pair in pairs:
+        fund = sympair.fundamental_weights(pair)
+        for coeffs in verify._dominant_grid(pair.rank, 100):
+            expected.append((pair.name, tuple(
+                sum((c * w[i] for c, w in zip(coeffs, fund)), Fraction(0))
+                for i in range(pair.rank))))
+    assert len(seen) == 1750
+    assert seen == expected
+    assert all(type(x) is Fraction for _, weight in seen for x in weight)
