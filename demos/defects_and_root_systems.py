@@ -3,9 +3,9 @@
 
 The defect of a Lie superalgebra with an invariant form is the maximal
 number of mutually orthogonal, linearly independent isotropic odd roots.
-It is found here by a branch-and-bound search over the root tables that
-stops once it reaches the Witt index of the invariant form, an upper
-bound for the defect.
+It is found here by one greedy pass over the isotropic roots that stops
+at the Witt index of the invariant form, an upper bound for the defect,
+so reaching it certifies the answer as maximal.
 """
 
 from fractions import Fraction

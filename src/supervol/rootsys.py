@@ -3,11 +3,11 @@
 Weights are tuples of Fractions in a fixed basis; each system carries a
 rational Gram matrix for the invariant form.  The defect (the maximal
 number of mutually orthogonal, linearly independent isotropic odd roots)
-is found by a branch-and-bound search certified by the Witt index of the
-form: such roots span a totally isotropic subspace, so the defect is at
-most ``witt_index``, and the search stops as soon as it reaches that
-bound.  On every supported family it does, after a handful of nodes;
-the search is capped at ``SEARCH_NODE_BUDGET`` nodes.
+is found by one greedy pass certified by the Witt index of the form: such
+roots span a totally isotropic subspace, so the defect is at most
+``witt_index``, and a pass that reaches that bound has found a maximum
+set.  On every supported family it does; a pass that ends below the bound
+raises ValueError.
 
 Supported families:
 
@@ -32,9 +32,6 @@ from .exactnum import (as_fraction, form, inertia, integer_scaled, rank,
 
 EVEN = "even"
 ODD = "odd"
-
-# Node cap of the defect search; past it the search raises ValueError.
-SEARCH_NODE_BUDGET = 10 ** 6
 
 
 class Root(NamedTuple):
@@ -77,56 +74,37 @@ def _diag_gram(signature) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-def _with_negatives(roots):
-    return tuple(roots) + tuple(-r for r in roots)
+def _signed(dim: int, support, parity: str, scale=1) -> list[Root]:
+    """Every root sum_k s_k * scale * e_(support_k) over the signs s_k = +-1."""
+    return [Root(_basis_vec(dim, {i: s * scale for i, s in zip(support, signs)}), parity)
+            for signs in itertools.product((1, -1), repeat=len(support))]
 
 
 def _gl_roots(m: int, n: int) -> tuple[Root, ...]:
-    dim = m + n
-    pos = []
-    for i, j in itertools.combinations(range(m), 2):
-        pos.append(Root(_basis_vec(dim, {i: 1, j: -1}), EVEN))
-    for i, j in itertools.combinations(range(n), 2):
-        pos.append(Root(_basis_vec(dim, {m + i: 1, m + j: -1}), EVEN))
-    for i in range(m):
-        for j in range(n):
-            pos.append(Root(_basis_vec(dim, {i: 1, m + j: -1}), ODD))
-    return _with_negatives(pos)
+    # e_i - e_j for i != j: even within a block, odd across the blocks
+    return tuple(Root(_basis_vec(m + n, {i: 1, j: -1}), EVEN if (i < m) == (j < m) else ODD)
+                 for i, j in itertools.permutations(range(m + n), 2))
 
 
 def _osp_roots(big_m: int, two_n: int) -> tuple[Root, ...]:
+    # s e_i + t e_j over the sign pairs, +-2 delta_k, and +-e_i, +-delta_k
+    # when M is odd; basis eps_1..eps_m, delta_1..delta_n
     m, n = big_m // 2, two_n // 2
-    odd_m = big_m % 2 == 1
     dim = m + n
-    pos = []
-    for i, j in itertools.combinations(range(m), 2):
-        pos.append(Root(_basis_vec(dim, {i: 1, j: 1}), EVEN))
-        pos.append(Root(_basis_vec(dim, {i: 1, j: -1}), EVEN))
-    for k, l in itertools.combinations(range(n), 2):
-        pos.append(Root(_basis_vec(dim, {m + k: 1, m + l: 1}), EVEN))
-        pos.append(Root(_basis_vec(dim, {m + k: 1, m + l: -1}), EVEN))
-    for k in range(n):
-        pos.append(Root(_basis_vec(dim, {m + k: 2}), EVEN))
-    if odd_m:
-        for i in range(m):
-            pos.append(Root(_basis_vec(dim, {i: 1}), EVEN))
-        for k in range(n):
-            pos.append(Root(_basis_vec(dim, {m + k: 1}), ODD))
-    for i in range(m):
-        for k in range(n):
-            pos.append(Root(_basis_vec(dim, {i: 1, m + k: 1}), ODD))
-            pos.append(Root(_basis_vec(dim, {i: 1, m + k: -1}), ODD))
-    return _with_negatives(pos)
+    roots = []
+    for i, j in itertools.combinations(range(dim), 2):
+        roots += _signed(dim, (i, j), EVEN if (i < m) == (j < m) else ODD)
+    for k in range(m, dim):
+        roots += _signed(dim, (k,), EVEN, 2)
+    if big_m % 2 == 1:
+        for i in range(dim):
+            roots += _signed(dim, (i,), EVEN if i < m else ODD)
+    return tuple(roots)
 
 
 def _d21a_roots() -> tuple[Root, ...]:
-    evens = [Root(_basis_vec(3, {i: 2}), EVEN) for i in range(3)]
-    odds = [
-        Root(_vec((1, s2, s3)), ODD)
-        for s2 in (1, -1)
-        for s3 in (1, -1)
-    ]
-    return _with_negatives(evens + odds)
+    evens = [r for i in range(3) for r in _signed(3, (i,), EVEN, 2)]
+    return tuple(evens + _signed(3, range(3), ODD))
 
 
 def _g3_roots() -> tuple[Root, ...]:
@@ -145,23 +123,18 @@ def _g3_roots() -> tuple[Root, ...]:
     for eps in (e1, e2, e3):
         for s in (1, -1):
             pos_odd.append(Root(_vec((eps[0], eps[1], s)), ODD))
-    return _with_negatives(pos_even + pos_odd)
+    pos = pos_even + pos_odd
+    return tuple(pos) + tuple(-r for r in pos)
 
 
 def _f4_roots() -> tuple[Root, ...]:
     # basis (eps1, eps2, eps3, delta)
-    pos = []
+    roots = []
     for i, j in itertools.combinations(range(3), 2):
-        pos.append(Root(_basis_vec(4, {i: 1, j: 1}), EVEN))
-        pos.append(Root(_basis_vec(4, {i: 1, j: -1}), EVEN))
-    for i in range(3):
-        pos.append(Root(_basis_vec(4, {i: 1}), EVEN))
-    pos.append(Root(_basis_vec(4, {3: 1}), EVEN))
-    half = Fraction(1, 2)
-    for s1, s2 in itertools.product((1, -1), repeat=2):
-        for s3 in (1, -1):
-            pos.append(Root(_vec((half, s1 * half, s2 * half, s3 * half)), ODD))
-    return _with_negatives(pos)
+        roots += _signed(4, (i, j), EVEN)
+    for i in range(4):
+        roots += _signed(4, (i,), EVEN)
+    return tuple(roots + _signed(4, range(4), ODD, Fraction(1, 2)))
 
 
 def build_root_system(family: str, *params) -> RootSystem:
@@ -217,7 +190,7 @@ def _isotropic(system: RootSystem) -> tuple[list[list[int]], list[tuple[Root, li
 
     Both scales are positive, so every zero test of the form, every sign
     and the lexicographic order of coordinates are those of the exact
-    values; the defect search runs on these integers through ``form``.
+    values; the defect pass runs on these integers through ``form``.
     """
     gram, _ = integer_scaled(system.gram)
     odd = [r for r in system.roots if r.parity == ODD]
@@ -267,48 +240,30 @@ def witt_index(system: RootSystem) -> int:
 
 
 def _max_orthogonal_independent(system: RootSystem) -> list[Root]:
-    """First maximum mutually orthogonal, linearly independent subset of the
-    positive representatives.
+    """A maximum mutually orthogonal, linearly independent subset of the
+    positive representatives, certified by the Witt index.
 
-    Orthogonality and independence are decided on the integer coordinates
-    of :func:`_positive_representatives`.  Include-first depth-first branch
-    and bound over the canonical rep order: a branch is cut when it cannot
-    beat the best set so far, and the search stops once the best set
-    reaches the Witt index.  The result is the first maximum subset in
-    include-first order.
+    One include-first pass over the canonical representative order keeps
+    a representative when it is orthogonal to the roots kept so far and the
+    kept set stays independent, and stops at the Witt index.  Orthogonality and
+    independence are decided on the integer coordinates of
+    :func:`_positive_representatives`.  A pass that ends below the Witt
+    index is not certified maximal and raises ValueError.
     """
     gram, reps = _positive_representatives(system)
     bound = witt_index(system)
-    n = len(reps)
-    orthogonal: dict[tuple[int, int], bool] = {}
-
-    def orth(j: int, i: int) -> bool:
-        if (j, i) not in orthogonal:
-            orthogonal[j, i] = form(gram, reps[j][1], reps[i][1]) == 0
-        return orthogonal[j, i]
-
-    best: list[int] = []
-    nodes = 0
-
-    def extend(start: int, chosen: list[int]):
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > SEARCH_NODE_BUDGET:
-            raise ValueError(
-                f"defect search on {system.family}{system.params} exceeded "
-                f"{SEARCH_NODE_BUDGET} nodes")
-        if len(chosen) > len(best):
-            best = chosen
-        for i in range(start, n):
-            if len(best) == bound or len(chosen) + n - i <= len(best):
-                return
-            if all(orth(j, i) for j in chosen):
-                vecs = [reps[j][1] for j in chosen] + [reps[i][1]]
-                if rank(vecs) == len(vecs):
-                    extend(i + 1, chosen + [i])
-
-    extend(0, [])
-    return [reps[i][0] for i in best]
+    kept: list[tuple[Root, tuple[int, ...]]] = []
+    for root, coords in reps:
+        if len(kept) == bound:
+            break
+        if (all(form(gram, c, coords) == 0 for _, c in kept)
+                and rank([c for _, c in kept] + [coords]) == len(kept) + 1):
+            kept.append((root, coords))
+    if len(kept) < bound:
+        raise ValueError(
+            f"defect of {system.family}{system.params} not certified: the greedy "
+            f"pass kept {len(kept)} roots, below the Witt index {bound}")
+    return [root for root, _ in kept]
 
 
 def defect(system: RootSystem) -> int:
@@ -320,8 +275,8 @@ def defect_subgroup_roots(system: RootSystem) -> list[tuple[Root, Root]]:
     """A canonical maximal orthogonal isotropic set, as pairs {a, -a}.
 
     Any such set determines the same subgroup up to conjugacy; the choice
-    here is the first maximum set in the canonical representative order,
-    which for gl(m|n) is the diagonal family eps_i - delta_i.
+    here is the set the greedy pass keeps over the canonical representative
+    order, which for gl(m|n) is the diagonal family eps_i - delta_i.
     """
     chosen = _max_orthogonal_independent(system)
     if not chosen:

@@ -262,7 +262,6 @@ class SubgroupChain(NamedTuple):
 def _gl_chain(m: int, n: int) -> SubgroupChain:
     top = GL(m, n)
     d = min(m, n)
-    steps: list[ChainStep] = []
     if d == 0:
         if (m, n) == (0, 0):
             return SubgroupChain(top, ())
@@ -288,8 +287,7 @@ def _gl_chain(m: int, n: int) -> SubgroupChain:
         power(SL(1, 1), d), power(GL(1, 1), d),
         RULE_ODD_PARTS_EQUAL, {"odd_dim": 2 * d},
     ))
-    steps = list(reversed(down))
-    return SubgroupChain(top, tuple(steps))
+    return SubgroupChain(top, tuple(reversed(down)))
 
 
 def _q_chain(n: int) -> SubgroupChain:

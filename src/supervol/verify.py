@@ -20,6 +20,9 @@ from typing import NamedTuple
 from . import exactnum, grassvol, qlocal, rootsys, splitting, sympair
 from .grassvol import GrassSpec
 
+# Parameter samples per n of the brute-force subset-sum table.
+C_TABLE_SAMPLES = 3
+
 
 class CheckResult(NamedTuple):
     name: str
@@ -187,17 +190,23 @@ def check_two_pi_power(max_mn: int = 6) -> CheckResult:
                    for spec, vol in volumes))
 
 
-def check_c_table(table: dict[tuple[int, int], Fraction], max_n: int = 12,
-                  samples: int = 3) -> CheckResult:
+def _brute_max_n(table: dict[tuple[int, int], Fraction]) -> int:
+    """The bound n of a ``qlocal.brute_c_table`` table, read from its keys."""
+    return max((n for _, n in table), default=-1)
+
+
+def check_c_table(table: dict[tuple[int, int], Fraction], samples: int) -> CheckResult:
     """``table`` is ``qlocal.brute_c_table(max_n, seed, samples)``."""
+    max_n = _brute_max_n(table)
     return _sweep("c-table-bruteforce-matches-closed-form",
                   f"all 0 <= r <= n <= {max_n}, {samples} samples each",
                   ((case, table[case] == qlocal.c_closed(*case)) for case in _triangle(max_n)))
 
 
-def check_c_recursions(table: dict[tuple[int, int], Fraction], max_n: int = 20,
-                       brute_max_n: int = 12) -> CheckResult:
-    """Closed form and brute table against [n choose r]_(-1), which obeys both recursions."""
+def check_c_recursions(table: dict[tuple[int, int], Fraction], max_n: int = 20) -> CheckResult:
+    """Closed form to ``max_n`` and the brute table against [n choose r]_(-1),
+    which obeys both recursions."""
+    brute_max_n = _brute_max_n(table)
     return _sweep("c-recursions-and-symmetry",
                   f"closed form to n = {max_n}, brute force to n = {brute_max_n}",
                   (((r, n), qlocal.c_closed(r, n) == qlocal.gaussian_binomial(n, r, -1))
@@ -325,7 +334,7 @@ def check_sdim_necessity(max_mn: int = 6) -> CheckResult:
 
 def run_all(seed: int = 0, max_n_grass: int = 6, max_n_c: int = 12) -> list[CheckResult]:
     """Every named sweep, with exhaustive bounds adjustable for runtime."""
-    c_table = qlocal.brute_c_table(max_n_c, seed)
+    c_table = qlocal.brute_c_table(max_n_c, seed, C_TABLE_SAMPLES)
     return [
         check_pfaffian_square(seed),
         check_pfaffian_congruence(seed + 1),
@@ -337,8 +346,8 @@ def run_all(seed: int = 0, max_n_grass: int = 6, max_n_c: int = 12) -> list[Chec
         check_cross_formula(max_n_grass),
         check_flag_identity(8),
         check_two_pi_power(max_n_grass),
-        check_c_table(c_table, max_n_c),
-        check_c_recursions(c_table, 20, max_n_c),
+        check_c_table(c_table, C_TABLE_SAMPLES),
+        check_c_recursions(c_table, 20),
         check_c_vanishing(20),
         check_gl_localization(min(10, max_n_c), seed),
         check_casimir_positivity(),

@@ -87,16 +87,14 @@ def test_defect(capsys):
     assert envelope["rules"] == ["witt-index-bound"]
 
 
-def test_defect_rules_and_budget(capsys, monkeypatch):
+def test_uncertified_defect_is_a_domain_error(capsys, monkeypatch):
     bound = rootsys.witt_index
     monkeypatch.setattr(rootsys, "witt_index", lambda system: bound(system) + 1)
-    envelope = main_json("defect", "gl", "2", "3")
-    assert envelope["result"] == 2
-    assert envelope["rules"] == ["maximal-orthogonal-isotropic-search"]
-    monkeypatch.setattr(rootsys, "SEARCH_NODE_BUDGET", 1)
+    with pytest.raises(ValueError, match=r"defect of gl\(2, 3\) not certified"):
+        rootsys.defect(rootsys.build_root_system("gl", 2, 3))
     code, out, err = run_cli(capsys, "defect", "gl", "2", "3")
     assert code == 1 and out == ""
-    assert "defect search on gl(2, 3) exceeded 1 nodes" in err
+    assert "not certified" in err
 
 
 def test_c_table():

@@ -150,12 +150,12 @@ def test_recursion_cases_as_gaussian_binomials():
     # recursion at (1, 1) reads; r = 0 is the c-table check's range
     identity = {(r, n): r for n in range(2) for r in range(n + 1)}
     assert identity[(1, 1)] == gaussian_binomial(1, 1, -1)
-    assert verify.check_c_table(identity, 1).detail.endswith("first (0, 0)")
+    assert verify.check_c_table(identity, samples=1).detail.endswith("first (0, 0)")
     # an empty range is not a pass
-    assert not verify.check_c_recursions(brute_c_table(1, 0), 0, 1).passed
+    assert not verify.check_c_recursions(brute_c_table(1, 0), 0).passed
     assert c_closed(2, 4) == gaussian_binomial(4, 2, -1) == 2
     broken = {**brute_c_table(4, 0), (2, 4): 0}
-    assert verify.check_c_recursions(broken, 4, 4).detail.endswith("1 failures, first (2, 4)")
+    assert verify.check_c_recursions(broken, 4).detail.endswith("1 failures, first (2, 4)")
     for r, n in ((-1, 3), (4, 3)):
         with pytest.raises(ValueError):
             gaussian_binomial(n, r, -1)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -37,6 +38,60 @@ def test_gl21_root_inventory():
     assert evens == {(f(1), f(-1), f(0)), (f(-1), f(1), f(0))}
     assert odds == {(f(1), f(0), f(-1)), (f(-1), f(0), f(1)),
                     (f(0), f(1), f(-1)), (f(0), f(-1), f(1))}
+
+
+def vec(dim, *entries):
+    """The weight with coordinate c at index i for each (i, c) in entries."""
+    v = [Fraction(0)] * dim
+    for i, c in entries:
+        v[i] = Fraction(c)
+    return tuple(v)
+
+
+def positive_roots(family, params):
+    """(coords, parity) of the positive roots, written out family by family."""
+    h = Fraction(1, 2)
+    if family in ("gl", "sl"):
+        m, n = params
+        return [(vec(m + n, (i, 1), (j, -1)), EVEN if (i < m) == (j < m) else ODD)
+                for i, j in itertools.combinations(range(m + n), 2)]
+    if family == "osp":
+        m, n = params[0] // 2, params[1] // 2
+        dim = m + n
+        pos = [(vec(dim, (i, 1), (j, t)), EVEN if (i < m) == (j < m) else ODD)
+               for i, j in itertools.combinations(range(dim), 2) for t in (1, -1)]
+        pos += [(vec(dim, (k, 2)), EVEN) for k in range(m, dim)]
+        if params[0] % 2:
+            pos += [(vec(dim, (i, 1)), EVEN if i < m else ODD) for i in range(dim)]
+        return pos
+    if family == "d21a":
+        return ([(vec(3, (i, 2)), EVEN) for i in range(3)]
+                + [(vec(3, (0, 1), (1, s), (2, t)), ODD) for s in (1, -1) for t in (1, -1)])
+    if family == "g3":
+        evens = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (1, -1, 0), (2, 1, 0), (1, 2, 0), (0, 0, 2)]
+        odds = [(0, 0, 1), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1), (-1, -1, 1),
+                (-1, -1, -1)]
+        return ([(vec(3, *enumerate(c)), EVEN) for c in evens]
+                + [(vec(3, *enumerate(c)), ODD) for c in odds])
+    if family == "f4":
+        pos = [(vec(4, (i, 1), (j, t)), EVEN)
+               for i, j in itertools.combinations(range(3), 2) for t in (1, -1)]
+        pos += [(vec(4, (i, 1)), EVEN) for i in range(4)]
+        return pos + [(vec(4, (0, h), (1, a * h), (2, b * h), (3, c * h)), ODD)
+                      for a, b, c in itertools.product((1, -1), repeat=3)]
+    raise ValueError(family)
+
+
+@pytest.mark.parametrize("family,params,count", [
+    ("gl", (2, 3), 20), ("sl", (3, 2), 20), ("osp", (4, 2), 14), ("osp", (5, 4), 36),
+    ("d21a", (Fraction(2, 3),), 14), ("g3", (), 28), ("f4", (), 36), ("gl", (6, 6), 132),
+])
+def test_root_inventory_is_positive_roots_and_their_negatives(family, params, count):
+    pos = positive_roots(family, params)
+    expected = {(c, p) for c, p in pos} | {(tuple(-x for x in c), p) for c, p in pos}
+    roots = build_root_system(family, *params).roots
+    assert len(roots) == len(expected) == count
+    assert {(r.coords, r.parity) for r in roots} == expected
 
 
 def test_d21a_root_counts():
@@ -151,26 +206,35 @@ def test_defect_attains_witt_index(family, params):
     assert witt_index(system) == defect(system)
 
 
-def test_exhaustive_search_without_witt_stop(monkeypatch):
-    """With the bound raised past the defect the search never stops early,
-    so it runs exhaustively; it must still give the same answers."""
-    expected = {("gl", (m, n)): min(m, n) for m in range(4) for n in range(4)}
-    expected.update({("osp", (3, 2)): 1, ("g3", ()): 1})
-    systems = {key: build_root_system(key[0], *key[1]) for key in expected}
-    witnesses = {key: defect_subgroup_roots(system)
-                 for key, system in systems.items() if expected[key]}
-    bound = rootsys.witt_index
-    monkeypatch.setattr(rootsys, "witt_index", lambda system: bound(system) + 1)
-    for key, system in systems.items():
-        assert defect(system) == expected[key], key
-        if expected[key]:
-            assert defect_subgroup_roots(system) == witnesses[key], key
+ORACLE_FAMILIES = (
+    [(fam, (m, n)) for fam in ("gl", "sl") for m in range(4) for n in range(4)]
+    + [("osp", (3, 2)), ("osp", (4, 4)), ("osp", (5, 4)), ("g3", ()), ("f4", ())]
+    + [("d21a", (alpha,)) for alpha in (Fraction(1), Fraction(1, 2), Fraction(-3))]
+)
 
 
-def test_defect_search_node_budget(monkeypatch):
-    monkeypatch.setattr(rootsys, "SEARCH_NODE_BUDGET", 1)
-    with pytest.raises(ValueError, match=r"defect search on gl\(2, 2\) exceeded 1 nodes"):
-        defect(build_root_system("gl", 2, 2))
+def brute_force_defect(system) -> int:
+    """Size of the largest mutually orthogonal, linearly independent subset
+    of the isotropic roots, one per pair {a, -a}, by trying every subset
+    from the largest down and testing it with the exact form."""
+    reps = []
+    for r in system.roots:
+        if (r.parity == ODD and inner(system, r.coords, r.coords) == 0
+                and tuple(-c for c in r.coords) not in reps):
+            reps.append(r.coords)
+    for size in range(len(reps), 0, -1):
+        for subset in itertools.combinations(reps, size):
+            if (all(inner(system, v, w) == 0 for v, w in itertools.combinations(subset, 2))
+                    and rootsys.rank(subset) == size):
+                return size
+    return 0
+
+
+def test_defect_matches_brute_force_oracle():
+    """The greedy pass against an exhaustive search that knows no Witt bound."""
+    for family, params in ORACLE_FAMILIES:
+        system = build_root_system(family, *params)
+        assert defect(system) == brute_force_defect(system), (family, params)
 
 
 def test_defect_subgroup_roots_gl22_diagonal():
@@ -229,7 +293,7 @@ INTEGER_ROUTE_FAMILIES = (
 
 @pytest.mark.parametrize("family,params", INTEGER_ROUTE_FAMILIES)
 def test_integer_defect_route_matches_exact_form(family, params):
-    """The search scales the Gram matrix and the odd roots to integers;
+    """The defect pass scales the Gram matrix and the odd roots to integers;
     its answers must be those of the exact form on the original roots."""
     system = build_root_system(family, *params)
     assert isotropic_roots(system) == tuple(

@@ -65,9 +65,38 @@ def test_localization_sweep_fails_when_the_kernel_ignores_t(monkeypatch):
 def test_broken_brute_table_fails_the_recursion_check():
     table = qlocal.brute_c_table(12, 0)
     table[(3, 9)] += 1
-    result = verify.check_c_recursions(table, 20, 12)
+    result = verify.check_c_recursions(table, 20)
     assert not result.passed
     assert result.detail.endswith("; 288 cases, 1 failures, first (3, 9)")
+
+
+def test_c_checks_read_the_brute_bound_from_the_table():
+    # a table to n = 5 is checked to n = 5, not to a separately passed bound
+    result = verify.check_c_recursions(qlocal.brute_c_table(5, 1), 20)
+    assert result.passed
+    assert result.detail.startswith("closed form to n = 20, brute force to n = 5; ")
+    result = verify.check_c_table(qlocal.brute_c_table(4, 1, 7), 7)
+    assert result.passed
+    assert result.detail == "all 0 <= r <= n <= 4, 7 samples each; 15 cases, 0 failures"
+
+
+def test_run_all_gives_one_sample_count_to_table_and_check(monkeypatch):
+    counts = []
+    real_table, real_check = qlocal.brute_c_table, verify.check_c_table
+
+    # the table's count is recorded only when it is passed explicitly
+    def table(nmax, seed, *count):
+        counts.append(count)
+        return real_table(nmax, seed, *count)
+
+    def check(c_table, samples):
+        counts.append((samples,))
+        return real_check(c_table, samples)
+
+    monkeypatch.setattr(qlocal, "brute_c_table", table)
+    monkeypatch.setattr(verify, "check_c_table", check)
+    verify.run_all(seed=1, max_n_grass=1, max_n_c=2)
+    assert counts == [(verify.C_TABLE_SAMPLES,)] * 2
 
 
 def test_casimir_sweep_weights_are_the_fraction_combinations(monkeypatch):
