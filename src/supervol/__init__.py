@@ -22,7 +22,7 @@ _EXPORTS = {
                  "volume", "volume_via_fibration"),
     "qlocal": ("LocalizationReport", "alpha_subset", "c_bruteforce", "c_closed",
                "gaussian_binomial", "gl_localization", "localization_sum",
-               "seeded_param_vectors"),
+               "localization_sums", "seeded_param_vectors"),
     "rootsys": ("Root", "RootSystem", "build_root_system", "defect",
                 "defect_subgroup_roots", "inner", "isotropic_roots", "witt_index"),
     "splitting": ("GL", "Q", "SL", "ChainStep", "GroupDesc", "SubgroupChain",

@@ -2,7 +2,10 @@
 
 Matrices are plain sequences of sequences of values accepted by
 ``fractions.Fraction``; every routine returns exact rationals.  Sizes stay
-in the dozens and storage is dense.  Ranks, determinants and Pfaffians
+in the dozens and storage is dense.  Each public routine normalizes its
+input with ``mat`` once, at the boundary, and hands the result to private
+kernels (``_det``, ``_skew``, ``_mat_mul``, ``_pfaffian``) that never
+normalize again.  Ranks, determinants and Pfaffians
 come from fraction-free kernels: the matrix is scaled to integers once
 by an lcm of its denominators, and every elimination step divides
 exactly by the previous pivot, so the inner loops do integer arithmetic
@@ -18,7 +21,8 @@ dimensional space is computed two ways:
 
 * ``alpha_pfaffian`` -- the Pfaffian of Q01^T * Q10^(-1) in an adapted
   real basis, evaluated without an inverse through the congruence
-  identity Pf(B * A * B^T) = det(B) * Pf(A) as Pf((Q01 * Q10)^T) / det(Q10);
+  identity Pf(B * A * B^T) = det(B) * Pf(A) as Pf((Q01 * Q10)^T) / det(Q10),
+  with the product formed once from the integer-scaled blocks;
 * ``alpha_diagonal`` -- the closed product prod(c_i/d_i) for a diagonal
   complex action, after realification.
 
@@ -75,18 +79,27 @@ def transpose(m) -> Matrix:
     return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
 
 
+def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of two integer matrices of matching shapes."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _check_product(a: Matrix, b: Matrix) -> None:
+    if a and len(a[0]) != len(b):
+        raise ValueError("dimension mismatch")
+
+
 def mat_mul(a, b) -> Matrix:
     """The product a * b: each operand is scaled to integers once, by the
     lcm da or db of its denominators, and each entry is one integer dot
     product over da * db."""
     a, b = mat(a), mat(b)
-    if a and len(a[0]) != len(b):
-        raise ValueError("dimension mismatch")
+    _check_product(a, b)
     ai, da = integer_scaled(a)
     bi, db = integer_scaled(b)
-    cols = list(zip(*bi))
     d = da * db
-    return tuple(tuple(Fraction(sum(map(mul, row, col)), d) for col in cols) for row in ai)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in _mat_mul(ai, bi))
 
 
 def form(gram, v, w) -> int | Fraction:
@@ -154,14 +167,7 @@ def rank(m) -> int:
     return _echelon(mat(m))[0]
 
 
-def det(m) -> Fraction:
-    """Exact determinant by Bareiss' fraction-free elimination.
-
-    The rows are scaled to integers, every step divides exactly by the
-    previous pivot, and the determinant is the signed last pivot over the
-    product of the row scales.
-    """
-    m = mat(m)
+def _det(m: Matrix) -> Fraction:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of non-square matrix")
@@ -171,12 +177,53 @@ def det(m) -> Fraction:
     return Fraction(last, scale) if r == n else Fraction(0)
 
 
-def is_skew(m) -> bool:
-    m = mat(m)
+def det(m) -> Fraction:
+    """Exact determinant by Bareiss' fraction-free elimination.
+
+    The rows are scaled to integers, every step divides exactly by the
+    previous pivot, and the determinant is the signed last pivot over the
+    product of the row scales.
+    """
+    return _det(mat(m))
+
+
+def _skew(m) -> bool:
+    """Whether the normalized or integer-scaled matrix m is square and
+    skew-symmetric."""
     n = len(m)
-    if any(len(row) != n for row in m):
-        return False
-    return all(m[i][j] == -m[j][i] for i in range(n) for j in range(i, n))
+    return (all(len(row) == n for row in m)
+            and all(m[i][j] == -m[j][i] for i in range(n) for j in range(i, n)))
+
+
+def is_skew(m) -> bool:
+    return _skew(mat(m))
+
+
+def _check_even(n: int) -> None:
+    if n % 2 == 1:
+        raise ValueError("Pfaffian undefined for odd dimension")
+
+
+def _pfaffian(a: list[list[int]]) -> int:
+    """Pfaffian of an even-sized skew-symmetric integer matrix, by the
+    fraction-free skew elimination of :func:`pfaffian`."""
+    sign, prev = 1, 1
+    while a:
+        top = a[0]
+        pos = next((q for q in range(1, len(a)) if top[q]), None)
+        if pos is None:
+            return 0
+        p = top[pos]
+        if pos % 2 == 0:
+            sign = -sign
+        keep = [q for q in range(1, len(a)) if q != pos]
+        row_k = [top[q] for q in keep]
+        row_l = [a[pos][q] for q in keep]
+        a = [[(p * x + row[0] * y - row[pos] * z) // prev
+              for x, y, z in zip([row[q] for q in keep], row_l, row_k)]
+             for row in (a[q] for q in keep)]
+        prev = p
+    return sign * prev
 
 
 def pfaffian(m) -> Fraction:
@@ -185,7 +232,8 @@ def pfaffian(m) -> Fraction:
     Sign convention: Pf([[0,1],[-1,0]]) = +1, and the Pfaffian of a
     direct sum of 2x2 blocks is the product of the block Pfaffians.
     Fraction-free skew elimination: the matrix is scaled to integers by
-    the lcm L of its denominators.  Index k, the first remaining one, is
+    the lcm L of its denominators, and the skew test runs on those
+    integers (L > 0).  Index k, the first remaining one, is
     paired with the first remaining l that has p = a[k][l] != 0; moving l
     next to k costs the sign (-1)^(pos-1), where pos is l's position among
     the remaining indices after k.  Every other entry becomes
@@ -197,29 +245,11 @@ def pfaffian(m) -> Fraction:
     O(n^3) integer operations at every size.
     """
     m = mat(m)
-    n = len(m)
-    if n % 2 == 1:
-        raise ValueError("Pfaffian undefined for odd dimension")
-    if not is_skew(m):
-        raise ValueError("matrix is not skew-symmetric")
+    _check_even(len(m))
     a, scale = integer_scaled(m)
-    sign, prev = 1, 1
-    while a:
-        top = a[0]
-        pos = next((q for q in range(1, len(a)) if top[q]), None)
-        if pos is None:
-            return Fraction(0)
-        p = top[pos]
-        if pos % 2 == 0:
-            sign = -sign
-        keep = [q for q in range(1, len(a)) if q != pos]
-        row_k = [top[q] for q in keep]
-        row_l = [a[pos][q] for q in keep]
-        a = [[(p * x + row[0] * y - row[pos] * z) // prev
-              for x, y, z in zip([row[q] for q in keep], row_l, row_k)]
-             for row in (a[q] for q in keep)]
-        prev = p
-    return Fraction(sign * prev, scale ** (n // 2))
+    if not _skew(a):
+        raise ValueError("matrix is not skew-symmetric")
+    return Fraction(_pfaffian(a), scale ** (len(m) // 2))
 
 
 def inertia(sym) -> tuple[int, int, int]:
@@ -278,16 +308,21 @@ def alpha_pfaffian(q01, q10) -> Fraction:
     which holds exactly when the basis is adapted to an invariant form.
     """
     q01, q10 = mat(q01), mat(q10)
-    d = det(q10)
+    d = _det(q10)
     if d == 0:
         raise ValueError("Q does not act isomorphically")
     if len(q01) != len(q10):
         raise ValueError("dimension mismatch")
-    # Pf(B A B^T) = det(B) Pf(A); A = Q01^T Q10^(-1), B = Q10^T give B A B^T = (Q01 Q10)^T.
-    prod = transpose(mat_mul(q01, q10))
-    if not is_skew(prod):
+    _check_product(q01, q10)
+    # Pf(B A B^T) = det(B) Pf(A); A = Q01^T Q10^(-1), B = Q10^T give B A B^T = (Q01 Q10)^T,
+    # here on the integer product of the two scaled blocks, over (d01 d10)^(n/2)
+    a01, d01 = integer_scaled(q01)
+    a10, d10 = integer_scaled(q10)
+    prod = list(zip(*_mat_mul(a01, a10)))
+    if not _skew(prod):
         raise ValueError("basis not adapted: Q01^T*Q10^(-1) is not skew-symmetric")
-    return pfaffian(prod) / d
+    _check_even(len(prod))
+    return Fraction(_pfaffian(prod), (d01 * d10) ** (len(prod) // 2)) / d
 
 
 def alpha_diagonal(c: Sequence, d: Sequence) -> Fraction:

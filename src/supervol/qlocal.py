@@ -26,7 +26,9 @@ product over the pairs i < j of one pair factor chosen by the sides of i
 and j, so no term needs a division.  The kernel cuts the positions into
 two halves, tabulates each half's products once, and forms and adds the
 term of every one of the binom(n, r) fixed points in C; the sums are
-exact and bounded at n <= 14.
+exact and bounded at n <= 14.  Parameters are validated and scaled to
+integers once per vector, at the public boundary: ``localization_sum``
+sums one r, and ``localization_sums`` every r in one pass.
 """
 
 from __future__ import annotations
@@ -147,22 +149,31 @@ def _fixed_point_sums(ks: Sequence[int], a: Params, t: Fraction) -> list[Fractio
     return [Fraction(totals[k], common * q ** (k * (n - k))) for k in ks]
 
 
-def _check_size(n: int) -> None:
+def _check_shape(n: int, vals: Params) -> None:
     if n > 14:
         raise ValueError("subset sums bounded at n <= 14")
+    if len(vals) != n:
+        raise ValueError("parameter vector has wrong length")
 
 
 def localization_sum(r: int, n: int, a: Sequence, t: Fraction | int) -> Fraction:
     """Sum over the r-subsets S of {0..n-1} of prod (a_i - t a_j) / (a_i - a_j),
     i in S, j not in S: [n choose r]_t for every admissible a.  t is an int
-    or a Fraction (t = -1 gives C(r, n), t = 1 binom(n, r)); n <= 14."""
+    or a Fraction (t = -1 gives C(r, n), t = 1 binom(n, r)); n <= 14.  The
+    half tables keep only the side vectors that can reach r."""
     vals = validate_params(a)
     if not 0 <= r <= n:
         raise ValueError("require 0 <= r <= n")
-    _check_size(n)
-    if len(vals) != n:
-        raise ValueError("parameter vector has wrong length")
+    _check_shape(n, vals)
     return _fixed_point_sums((r,), vals, as_fraction(t))[0]
+
+
+def localization_sums(n: int, a: Sequence, t: Fraction | int) -> list[Fraction]:
+    """``localization_sum(r, n, a, t)`` for every r = 0..n, from one pass
+    over the half tables of the vector a; n <= 14."""
+    vals = validate_params(a)
+    _check_shape(n, vals)
+    return _fixed_point_sums(range(n + 1), vals, as_fraction(t))
 
 
 def gaussian_binomial(n: int, r: int, t: Fraction | int) -> Fraction:
@@ -235,11 +246,9 @@ def brute_c_table(nmax: int, seed: int, count: int = 3) -> dict[tuple[int, int],
     exactly at every (r, n)."""
     table = {}
     for n in range(nmax + 1):
-        _check_size(n)
-        ks = range(n + 1)
-        sums = _consensus([_fixed_point_sums(ks, a, Fraction(-1))
+        sums = _consensus([localization_sums(n, a, -1)
                            for a in seeded_param_vectors(n, count, seed + n)])
-        table.update(((r, n), total) for r, total in zip(ks, sums))
+        table.update(((r, n), total) for r, total in enumerate(sums))
     return table
 
 

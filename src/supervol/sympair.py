@@ -7,7 +7,11 @@ multiplicity-weighted positive-root sum, declared in simple-root
 coordinates).
 The quadratic Casimir acts on a highest-weight eigenfunction of weight
 lam by (lam + 2 rho, lam); for nonzero dominant weights this is strictly
-positive, which is the key inequality this module exposes.
+positive, which is the key inequality this module exposes.  The
+eigenvalue is one integer form: the Gram matrix and rho are scaled to
+integers once per pair, the weight once at the boundary, and
+``positivity_checks`` takes a sweep's weights already as integers over
+one denominator.
 
 Also houses the principal-block weight list of the D(2,1;alpha) family:
 lam_l = (l+1) eps1 + (l-1)(eps2 + eps3) for l >= 1 and lam_0 = 0, of
@@ -101,18 +105,42 @@ def rho_coefficients(pair: RestrictedPair) -> tuple[Vector, bool]:
     return pair.rho, all(c >= 0 for c in pair.rho)
 
 
-def _eigenvalue(pair: RestrictedPair, w: Vector) -> Fraction:
-    """(w + 2 rho, w) for a weight of Fractions: with w and rho scaled to
-    integers W, R by one lcm d and the Gram matrix to G by e, it is the
-    integer (W + 2 R)^T G W over e d^2."""
-    (ws, rs), d = integer_scaled([w, pair.rho])
+def _scaled(pair: RestrictedPair) -> tuple[list[list[int]], list[int], int, int]:
+    """The Gram matrix scaled to integers G by the lcm e of its denominators,
+    rho scaled to integers R by the lcm s of its own, then e and s."""
     gram, e = integer_scaled(pair.gram)
-    return Fraction(form(gram, [x + 2 * y for x, y in zip(ws, rs)], ws), e * d * d)
+    [rho], s = integer_scaled([pair.rho])
+    return gram, rho, e, s
+
+
+def _casimir(scaled, w: list[int], d: int) -> tuple[int, int]:
+    """The eigenvalue (w + 2 rho, w) of the weight w = W / d, with W integers
+    and d > 0, on the pair data (G, R, e, s) of :func:`_scaled`: the integer
+    (s W + 2 d R)^T G W over e s d^2."""
+    gram, rho, e, s = scaled
+    return form(gram, [s * x + 2 * d * y for x, y in zip(w, rho)], w), e * s * d * d
+
+
+def _integer_weight(weight) -> tuple[list[int], int]:
+    [w], d = integer_scaled([[as_fraction(x) for x in weight]])
+    return w, d
 
 
 def casimir_eigenvalue(pair: RestrictedPair, weight) -> Fraction:
     """Exact value of (weight + 2 rho, weight) under the pair's form."""
-    return _eigenvalue(pair, tuple(as_fraction(x) for x in weight))
+    w, d = _integer_weight(weight)
+    return Fraction(*_casimir(_scaled(pair), w, d))
+
+
+def positivity_checks(pair: RestrictedPair, weights, d: int):
+    """:func:`positivity_check` for each weight W / d, with W an integer
+    vector and d > 0 one common denominator; the pair is scaled to integers
+    once for all of them."""
+    scaled = _scaled(pair)
+    for w in weights:
+        if not any(w):
+            raise ValueError("excluded by hypothesis")
+        yield _casimir(scaled, w, d)[0] > 0
 
 
 def positivity_check(pair: RestrictedPair, weight) -> bool:
@@ -122,10 +150,8 @@ def positivity_check(pair: RestrictedPair, weight) -> bool:
     is positive definite on the root lattice and the rho coefficients are
     nonnegative, so (w, w) + 2 sum c_i (w, alpha_i) > 0.
     """
-    w = tuple(as_fraction(x) for x in weight)
-    if not any(w):
-        raise ValueError("excluded by hypothesis")
-    return _eigenvalue(pair, w) > 0
+    w, d = _integer_weight(weight)
+    return next(positivity_checks(pair, [w], d))
 
 
 def fundamental_weights(pair: RestrictedPair) -> tuple[Vector, ...]:

@@ -141,10 +141,14 @@ def check_defect_table(max_rank: int = 4) -> CheckResult:
 def _gl_root_outcomes(max_rank: int):
     for m, n in itertools.product(range(max_rank + 1), repeat=2):
         system = rootsys.build_root_system("gl", m, n)
-        root_set = {r.coords for r in system.roots}
+        # both scales are positive: negation and isotropy are those of the
+        # exact values
+        gram, _ = exactnum.integer_scaled(system.gram)
+        coords, _ = exactnum.integer_scaled([r.coords for r in system.roots])
+        root_set = set(map(tuple, coords))
         yield ("negation", m, n), root_set == {tuple(-c for c in v) for v in root_set}
-        for r in system.roots:
-            isotropic = rootsys.inner(system, r.coords, r.coords) == 0
+        for r, c in zip(system.roots, coords):
+            isotropic = exactnum.form(gram, c, c) == 0
             yield ("isotropic-iff-odd", m, n, r.coords), isotropic == (r.parity == rootsys.ODD)
 
 
@@ -221,16 +225,20 @@ def check_c_vanishing(max_n: int = 20) -> CheckResult:
                    for r, n in _triangle(max_n)))
 
 
-def check_gl_localization(max_n: int = 10, seed: int = 0, samples: int = 3) -> CheckResult:
+def _gl_localization_outcomes(max_n: int, seed: int, samples: int):
+    # one seeded t per (n, vector), and one pass of the kernel for every r
     rng = random.Random(seed)
-    vectors = {n: qlocal.seeded_param_vectors(n, samples, seed + 1000 + n)
-               for n in range(max_n + 1)}
-    cases = ((r, n, a, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
-             for r, n in _triangle(max_n) for a in vectors[n])
+    for n in range(max_n + 1):
+        for a in qlocal.seeded_param_vectors(n, samples, seed + 1000 + n):
+            t = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            for r, total in enumerate(qlocal.localization_sums(n, a, t)):
+                yield (r, n, str(t)), total == qlocal.gaussian_binomial(n, r, t)
+
+
+def check_gl_localization(max_n: int = 10, seed: int = 0, samples: int = 3) -> CheckResult:
     return _sweep("localization-sum-is-gaussian-binomial",
                   f"n <= {max_n}, {samples} samples, seeded t = p/q",
-                  (((r, n, str(t)), qlocal.localization_sum(r, n, a, t)
-                    == qlocal.gaussian_binomial(n, r, t)) for r, n, a, t in cases))
+                  _gl_localization_outcomes(max_n, seed, samples))
 
 
 def _casimir_outcomes(points_per_pair: int):
@@ -247,10 +255,10 @@ def _casimir_outcomes(points_per_pair: int):
         fund, d = exactnum.integer_scaled(sympair.fundamental_weights(pair))
         numerators, g = exactnum.integer_scaled(grid)
         columns = list(zip(*fund))
-        for coeffs, c in zip(grid, numerators):
-            # a nonnegative combination of fundamental weights: dominant
-            weight = tuple(Fraction(sum(map(operator.mul, c, col)), g * d) for col in columns)
-            yield (pair.name, coeffs), sympair.positivity_check(pair, weight)
+        # nonnegative combinations of fundamental weights: dominant
+        weights = ([sum(map(operator.mul, c, col)) for col in columns] for c in numerators)
+        yield from zip(((pair.name, coeffs) for coeffs in grid),
+                       sympair.positivity_checks(pair, weights, g * d))
         yield (pair.name, "grid-size", len(grid)), len(grid) >= points_per_pair
 
 

@@ -421,3 +421,71 @@ def test_realify_transpose_is_conjugate_transpose(zmat):
 def test_float_input_rejected():
     with pytest.raises(TypeError, match="exact"):
         exactnum.as_fraction(0.5)
+
+
+def test_pfaffian_and_det_error_contract():
+    # odd dimension is reported before skew-symmetry, even for a non-skew matrix
+    with pytest.raises(ValueError, match="^Pfaffian undefined for odd dimension$"):
+        pfaffian([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    for m in ([[0, 1], [1, 0]], [[0, 1, 2], [-1, 0, 3]], [[1, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="^matrix is not skew-symmetric$"):
+            pfaffian(m)
+        assert not exactnum.is_skew(m)
+    with pytest.raises(ValueError, match="^determinant of non-square matrix$"):
+        exactnum.det([[1, 2]])
+    with pytest.raises(ValueError, match="^determinant of non-square matrix$"):
+        exactnum.det([[]])
+
+
+def test_ragged_and_float_input_contract():
+    # entries are converted before the shape is checked, so a float wins
+    routines = (pfaffian, exactnum.det, exactnum.is_skew, exactnum.rank, transpose,
+                lambda m: mat_mul(m, [[1], [1]]), lambda m: mat_mul([[1, 1]], m),
+                lambda m: alpha_pfaffian(m, [[1]]), lambda m: alpha_pfaffian([[1]], m))
+    for routine in routines:
+        with pytest.raises(ValueError, match="^ragged matrix$"):
+            routine([[0, 1], [1]])
+        with pytest.raises(TypeError, match="^floating point input rejected: results must be exact$"):
+            routine([[0, 0.5], [-0.5, 0]])
+        with pytest.raises(TypeError, match="exact"):
+            routine([[0, 0.5], [1]])
+
+
+def test_alpha_pfaffian_error_contract():
+    singular = [[1, 0], [0, 0]]
+    # isomorphism first, then dimensions, then adaptedness
+    for q01 in ([[0, 1], [-1, 0]], [[1]], [[1, 2, 3]]):
+        with pytest.raises(ValueError, match="^Q does not act isomorphically$"):
+            alpha_pfaffian(q01, singular)
+    for q01 in ([[1]], [[0, 1, 0], [-1, 0, 0]], [[1, 0]], []):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            alpha_pfaffian(q01, [[1, 0], [0, 2]])
+    with pytest.raises(ValueError, match="^determinant of non-square matrix$"):
+        alpha_pfaffian([[1]], [[1, 2]])
+    adapted = "^basis not adapted: Q01\\^T\\*Q10\\^\\(-1\\) is not skew-symmetric$"
+    for q01, q10 in (([[1, 0], [0, 1]], [[1, 0], [0, 2]]), ([[1]], [[1]])):
+        with pytest.raises(ValueError, match=adapted):
+            alpha_pfaffian(q01, q10)
+    # a skew product of odd size reaches the Pfaffian's own error
+    with pytest.raises(ValueError, match="^Pfaffian undefined for odd dimension$"):
+        alpha_pfaffian([[0]], [[1]])
+    assert alpha_pfaffian([], []) == 1
+
+
+def test_public_routines_normalize_once(monkeypatch):
+    calls = []
+    real = exactnum.mat
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    skew = [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]
+    q01, q10 = realified_diagonal_action([1, Fraction(2, 3)], [3, Fraction(-1, 2)])
+    monkeypatch.setattr(exactnum, "mat", counted)
+    for routine, args, count in ((pfaffian, (skew,), 1), (alpha_pfaffian, (q01, q10), 2),
+                                 (exactnum.det, (skew,), 1), (exactnum.is_skew, (skew,), 1),
+                                 (mat_mul, (skew, skew), 2)):
+        calls.clear()
+        routine(*args)
+        assert len(calls) == count, routine.__name__

@@ -314,6 +314,30 @@ def test_localization_sum_and_gaussian_binomial_errors():
         localization_sum(1, 3, [1, 2], 2)
 
 
+def test_localization_sums_is_every_localization_sum():
+    for n in range(len(MIXED_PARAMS) + 1):
+        for a in seeded_param_vectors(n, 2, 900 + n) + [FRACTIONAL_PARAMS[:n], MIXED_PARAMS[:n]]:
+            for t in (-1, 1, 0, Fraction(-3, 7), 2):
+                sums = qlocal.localization_sums(n, a, t)
+                assert sums == [localization_sum(r, n, a, t) for r in range(n + 1)], (a, t)
+                assert all(type(total) is Fraction for total in sums)
+
+
+def test_localization_sums_errors():
+    # the parameters are checked first, then the bound, then the length
+    with pytest.raises(ValueError, match="degenerate"):
+        qlocal.localization_sums(15, [1, -1], 2)
+    with pytest.raises(ValueError, match="bounded at n <= 14"):
+        qlocal.localization_sums(15, [1, 2], 2)
+    with pytest.raises(ValueError, match="wrong length"):
+        qlocal.localization_sums(3, [1, 2], 2)
+    with pytest.raises(ValueError, match="wrong length"):
+        qlocal.localization_sums(-1, [], 2)
+    with pytest.raises(TypeError, match="exact"):
+        qlocal.localization_sums(2, [1, 2], 0.5)
+    assert qlocal.localization_sums(0, [], 5) == [1]
+
+
 def test_gl_localization_examples():
     assert gl_localization(1, 2, [1, 2]) == 2
     for n in (1, 2, 5):

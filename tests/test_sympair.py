@@ -138,6 +138,21 @@ def test_positivity_check_examples():
         positivity_check(boundary, (0,))
 
 
+def test_positivity_checks_read_integer_weights_over_one_denominator():
+    weights = [(3, -1, 2), (-5, 0, 1), (0, 0, 7), (1, 1, -9), (-2, -2, -2)]
+    for pair in builtin_pairs(1, 3) + [osp_pair(2, 3), osp_pair(2, 5)]:
+        for d in (1, 6, 35):
+            ws = [w[:pair.rank] for w in weights if any(w[:pair.rank])]
+            expected = [casimir_eigenvalue(pair, [Fraction(x, d) for x in w]) > 0 for w in ws]
+            assert list(sympair.positivity_checks(pair, ws, d)) == expected
+            assert expected == [positivity_check(pair, [Fraction(x, d) for x in w]) for w in ws]
+        # the zero weight is excluded before its length is looked at
+        checks = sympair.positivity_checks(pair, [(1,) * pair.rank, (0,) * (pair.rank + 1)], 4)
+        assert next(checks)
+        with pytest.raises(ValueError, match="excluded by hypothesis"):
+            next(checks)
+
+
 def _coordinate_vectors(k):
     return [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
 

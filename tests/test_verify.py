@@ -1,8 +1,13 @@
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
-from supervol import qlocal, sympair, verify
+import pytest
+
+from supervol import cli, qlocal, sympair, verify
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_run_all_calls_every_check_once(monkeypatch):
@@ -56,10 +61,27 @@ def test_broken_case_fails_and_is_named_first(monkeypatch):
 
 
 def test_localization_sweep_fails_when_the_kernel_ignores_t(monkeypatch):
-    monkeypatch.setattr(qlocal, "localization_sum", lambda r, n, a, t: math.comb(n, r))
+    monkeypatch.setattr(qlocal, "localization_sums",
+                        lambda n, a, t: [math.comb(n, r) for r in range(n + 1)])
     result = verify.check_gl_localization(10, seed=0)
     assert not result.passed
     assert result.detail.startswith("n <= 10, 3 samples, seeded t = p/q; 198 cases, ")
+
+
+def test_localization_sweep_names_a_kernel_off_at_one_r(monkeypatch):
+    real = qlocal.localization_sums
+
+    def off_at_two_of_six(n, a, t):
+        sums = real(n, a, t)
+        if n == 6:
+            sums[2] += 1
+        return sums
+
+    monkeypatch.setattr(qlocal, "localization_sums", off_at_two_of_six)
+    result = verify.check_gl_localization(10, seed=0)
+    assert not result.passed
+    assert re.fullmatch(r"n <= 10, 3 samples, seeded t = p/q; 198 cases, 3 failures, "
+                        r"first \(2, 6, '-?\d+(/\d+)?'\)", result.detail), result.detail
 
 
 def test_broken_brute_table_fails_the_recursion_check():
@@ -101,15 +123,20 @@ def test_run_all_gives_one_sample_count_to_table_and_check(monkeypatch):
 
 def test_casimir_sweep_weights_are_the_fraction_combinations(monkeypatch):
     # positivity cannot see a positive rescaling of a dominant weight, so
-    # the weights themselves are compared with sum_j c_j w_j in Fractions
+    # the weights themselves, integers over one denominator, are compared
+    # with sum_j c_j w_j in Fractions
     seen = []
-    real = sympair.positivity_check
+    real = sympair.positivity_checks
 
-    def record(pair, weight):
-        seen.append((pair.name, weight))
-        return real(pair, weight)
+    def record(pair, weights, d):
+        def recorded():
+            for w in weights:
+                assert all(type(x) is int for x in w)
+                seen.append((pair.name, tuple(Fraction(x, d) for x in w)))
+                yield w
+        return real(pair, recorded(), d)
 
-    monkeypatch.setattr(sympair, "positivity_check", record)
+    monkeypatch.setattr(sympair, "positivity_checks", record)
     result = verify.check_casimir_positivity()
     assert result.passed and "1760 cases, 0 failures" in result.detail
     pairs = sympair.builtin_pairs(1, 3) + [sympair.osp_pair(2, 3), sympair.osp_pair(2, 5)]
@@ -122,4 +149,12 @@ def test_casimir_sweep_weights_are_the_fraction_combinations(monkeypatch):
                 for i in range(pair.rank))))
     assert len(seen) == 1750
     assert seen == expected
-    assert all(type(x) is Fraction for _, weight in seen for x in weight)
+
+
+@pytest.mark.parametrize("seed", [20240001, 7])
+def test_verify_json_matches_the_recorded_output(capsys, seed):
+    # recorded from `supervol verify --format json --seed <seed>`: a change
+    # to any sweep's scope, case count or outcome shows here
+    code = cli.main(["verify", "--format", "json", "--seed", str(seed)])
+    assert code == 0
+    assert capsys.readouterr().out == (DATA / f"verify_seed{seed}.jsonl").read_text()
