@@ -42,11 +42,11 @@ def main():
         print(f"defect {label} = {defect(system)} (Witt index {witt_index(system)})")
 
     print("\n== the one-parameter family keeps all 8 odd roots isotropic ==")
-    from supervol import inner
+    from supervol.exactnum import form
     for alpha in (Fraction(1), Fraction(2, 7), Fraction(-5)):
         system = build_root_system("d21a", alpha)
         odd = [r for r in system.roots if r.parity == "odd"]
-        norms = {inner(system, r.coords, r.coords) for r in odd}
+        norms = {form(system.gram, r.coords, r.coords) for r in odd}
         print(f"alpha = {alpha}: odd root norms = {norms}")
 
 

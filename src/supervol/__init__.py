@@ -24,7 +24,7 @@ _EXPORTS = {
                "gaussian_binomial", "gl_localization", "localization_sum",
                "localization_sums", "seeded_param_vectors"),
     "rootsys": ("Root", "RootSystem", "build_root_system", "defect",
-                "defect_subgroup_roots", "inner", "isotropic_roots", "witt_index"),
+                "defect_subgroup_roots", "isotropic_roots", "witt_index"),
     "splitting": ("GL", "Q", "SL", "ChainStep", "GroupDesc", "SubgroupChain",
                   "is_splitting_levi_gl", "is_splitting_levi_q", "minimal_chain",
                   "sdim_necessity"),

@@ -72,19 +72,19 @@ def two_pi_exponent(spec: GrassSpec) -> int:
     return dims(spec).odd
 
 
-def _canonical_atoms(raw: dict[tuple[int, int], int]) -> tuple[tuple[int, int, int], ...]:
+def _canonical_atoms(atoms) -> tuple[tuple[int, int, int], ...]:
+    """Merge ``(a, b, e)`` entries in one pass: drop V(0, b) = V(b, b) = 1, rewrite
+    V(a, b) = V(b-a, b) so that 2a <= b, validate each atom, sort the nonzero ones."""
     merged: dict[tuple[int, int], int] = {}
-    for (a, b), exp in raw.items():
-        if exp == 0 or a == 0 or a == b:
+    for a, b, e in atoms:
+        if e == 0 or a == 0 or a == b:
             continue
         if a > b - a:
             a = b - a
         if not (1 <= a and 2 * a <= b):
             raise ValueError(f"invalid volume atom V({a},{b})")
-        merged[(a, b)] = merged.get((a, b), 0) + exp
-    return tuple(
-        (a, b, e) for (a, b), e in sorted(merged.items()) if e != 0
-    )
+        merged[a, b] = merged.get((a, b), 0) + e
+    return tuple((a, b, e) for (a, b), e in sorted(merged.items()) if e != 0)
 
 
 class VolumeExpr(NamedTuple):
@@ -105,11 +105,7 @@ class VolumeExpr(NamedTuple):
         coeff = as_fraction(coeff)
         if coeff == 0:
             return VolumeExpr(Fraction(0), 0, ())
-        raw: dict[tuple[int, int], int] = {}
-        for entry in atoms:
-            a, b, e = entry
-            raw[(a, b)] = raw.get((a, b), 0) + e
-        return VolumeExpr(coeff, two_pi_power, _canonical_atoms(raw))
+        return VolumeExpr(coeff, two_pi_power, _canonical_atoms(atoms))
 
     @staticmethod
     def zero() -> "VolumeExpr":
@@ -125,8 +121,7 @@ class VolumeExpr(NamedTuple):
         return self.coeff == 0
 
     def __mul__(self, other: "VolumeExpr") -> "VolumeExpr":
-        if self.is_zero() or other.is_zero():
-            return VolumeExpr.zero()
+        # make returns the zero expression for a zero coefficient
         return VolumeExpr.make(
             self.coeff * other.coeff,
             self.two_pi_power + other.two_pi_power,
@@ -136,8 +131,6 @@ class VolumeExpr(NamedTuple):
     def __truediv__(self, other: "VolumeExpr") -> "VolumeExpr":
         if other.is_zero():
             raise ZeroDivisionError("division by zero volume")
-        if self.is_zero():
-            return VolumeExpr.zero()
         inverted = tuple((a, b, -e) for a, b, e in other.atoms)
         return VolumeExpr.make(
             self.coeff / other.coeff,
@@ -162,14 +155,6 @@ class VolumeExpr(NamedTuple):
             "two_pi_power": self.two_pi_power,
             "atoms": [{"a": a, "b": b, "exp": e} for a, b, e in self.atoms],
         }
-
-    @staticmethod
-    def from_payload(payload: dict) -> "VolumeExpr":
-        return VolumeExpr.make(
-            Fraction(payload["coeff"]),
-            payload["two_pi_power"],
-            tuple((d["a"], d["b"], d["exp"]) for d in payload["atoms"]),
-        )
 
 
 def volume(spec: GrassSpec) -> VolumeExpr:

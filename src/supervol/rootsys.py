@@ -179,11 +179,6 @@ def build_root_system(family: str, *params) -> RootSystem:
     raise ValueError(f"unknown family {family!r}")
 
 
-def inner(system: RootSystem, v, w) -> Fraction:
-    """The invariant form evaluated on two weight vectors."""
-    return form(system.gram, v, w)
-
-
 def _isotropic(system: RootSystem) -> tuple[list[list[int]], list[tuple[Root, list[int]]]]:
     """The Gram matrix scaled to integers, and the isotropic odd roots,
     each beside its coordinates scaled to integers by one common lcm.

@@ -14,6 +14,7 @@ minimal splitting subgroup: SL(1|1)^min(m,n) for GL(m|n), and Q(2)^d
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from . import grassvol
@@ -182,11 +183,12 @@ class ChainStep(NamedTuple):
             )
         if self.rule == RULE_ODD_PARTS_EQUAL:
             return (
-                self.sub.odd_dim == self.sup.odd_dim
+                _removed_factors(self.sup, self.sub, _factor_contains) is not None
+                and self.sub.odd_dim == self.sup.odd_dim
                 and self.evidence["odd_dim"] == self.sub.odd_dim
             )
         if self.rule == RULE_FACTOR_SPLIT:
-            removed = _removed_factors(self.sup, self.sub)
+            removed = _removed_factors(self.sup, self.sub, operator.eq)
             if removed is None:
                 return False
             return (
@@ -207,12 +209,18 @@ def _replaces_factor(sup: GroupDesc, sub: GroupDesc, old: Atom,
     return False
 
 
-def _removed_factors(sup: GroupDesc, sub: GroupDesc):
-    """Factors of sup left over after matching sub as a subsequence."""
+def _factor_contains(big: Atom, small: Atom) -> bool:
+    """Whether ``small`` is ``big`` or SL(m|n) inside ``big`` = GL(m|n)."""
+    return small == big or (big[0] == "GL" and small == ("SL", *big[1:]))
+
+
+def _removed_factors(sup: GroupDesc, sub: GroupDesc, contains):
+    """Factors of sup left over (each cut to 1) after matching sub, in order, to a
+    subsequence of sup with ``contains(sup_factor, sub_factor)``; None if none."""
     removed = []
     sub_idx = 0
     for atom in sup.factors:
-        if sub_idx < len(sub.factors) and atom == sub.factors[sub_idx]:
+        if sub_idx < len(sub.factors) and contains(atom, sub.factors[sub_idx]):
             sub_idx += 1
         else:
             removed.append(atom)
@@ -235,12 +243,9 @@ class SubgroupChain(NamedTuple):
         return [self.steps[0].sub] + [step.sup for step in self.steps]
 
     def validate(self) -> bool:
-        if self.steps and self.steps[-1].sup != self.top:
-            return False
-        for prev, nxt in zip(self.steps, self.steps[1:]):
-            if prev.sup != nxt.sub:
-                return False
-        return all(step.validate() for step in self.steps)
+        return (self.groups()[-1] == self.top
+                and all(prev.sup == nxt.sub for prev, nxt in zip(self.steps, self.steps[1:]))
+                and all(step.validate() for step in self.steps))
 
     def to_payload(self) -> dict:
         return {

@@ -18,10 +18,16 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import exactnum, grassvol, qlocal, rootsys, splitting, sympair
-from .grassvol import GrassSpec
+from .grassvol import GrassSpec, VolumeExpr
 
 # Parameter samples per n of the brute-force subset-sum table.
 C_TABLE_SAMPLES = 3
+# Largest m and n of the gl(m|n) root systems that run_all builds.
+GL_MAX_RANK = 4
+
+# Tables that run_all builds once; each sweep reads its bound from the keys.
+Volumes = dict[GrassSpec, VolumeExpr]
+GlSystems = dict[tuple[int, int], rootsys.RootSystem]
 
 
 class CheckResult(NamedTuple):
@@ -63,6 +69,12 @@ def _specs(max_mn: int):
     for m, n in itertools.product(range(max_mn + 1), repeat=2):
         for r, s in itertools.product(range(m + 1), range(n + 1)):
             yield GrassSpec(r, s, m, n)
+
+
+def _bound(table: dict, index: int) -> int:
+    """The bound of a table that run_all builds, the largest ``key[index]``:
+    n of the c table's (r, n), m of a spec's (r, s, m, n) or a gl system's (m, n)."""
+    return max((key[index] for key in table), default=-1)
 
 
 def _triangle(max_n: int, low: int = 0):
@@ -123,24 +135,22 @@ def check_alpha_agreement(seed: int, samples: int = 50) -> CheckResult:
                   "realified diagonal models", _alpha_models(seed, samples))
 
 
-def check_defect_table(max_rank: int = 4) -> CheckResult:
-    ranks = itertools.product(range(max_rank + 1), repeat=2)
+def check_defect_table(systems: GlSystems) -> CheckResult:
     families = (
         ("osp", (3, 2), 1), ("osp", (2, 2), 1),
         ("d21a", (Fraction(1),), 1), ("d21a", (Fraction(1, 2),), 1),
         ("d21a", (Fraction(-3),), 1), ("g3", (), 1), ("f4", (), 1),
     )
     return _sweep(
-        "defect-table", f"gl up to rank {max_rank} plus defect-one families",
-        ((("gl", m, n), rootsys.defect(rootsys.build_root_system("gl", m, n)) == min(m, n))
-         for m, n in ranks),
+        "defect-table", f"gl up to rank {_bound(systems, -2)} plus defect-one families",
+        ((("gl", m, n), rootsys.defect(system) == min(m, n))
+         for (m, n), system in systems.items()),
         (((family, *params), rootsys.defect(rootsys.build_root_system(family, *params))
           == expected) for family, params, expected in families))
 
 
-def _gl_root_outcomes(max_rank: int):
-    for m, n in itertools.product(range(max_rank + 1), repeat=2):
-        system = rootsys.build_root_system("gl", m, n)
+def _gl_root_outcomes(systems: GlSystems):
+    for (m, n), system in systems.items():
         # both scales are positive: negation and isotropy are those of the
         # exact values
         gram, _ = exactnum.integer_scaled(system.gram)
@@ -152,33 +162,34 @@ def _gl_root_outcomes(max_rank: int):
             yield ("isotropic-iff-odd", m, n, r.coords), isotropic == (r.parity == rootsys.ODD)
 
 
-def check_root_system_invariants(max_rank: int = 4) -> CheckResult:
-    return _sweep("gl-root-system-invariants", f"gl up to rank {max_rank}",
-                  _gl_root_outcomes(max_rank))
+def check_root_system_invariants(systems: GlSystems) -> CheckResult:
+    return _sweep("gl-root-system-invariants", f"gl up to rank {_bound(systems, -2)}",
+                  _gl_root_outcomes(systems))
 
 
-def check_nonvanishing(max_mn: int = 6) -> CheckResult:
-    return _sweep("volume-nonvanishing-iff-sdim-nonnegative", f"exhaustive m,n <= {max_mn}",
-                  ((spec, (not grassvol.volume(spec).is_zero()) == (grassvol.sdim(spec) >= 0))
-                   for spec in _specs(max_mn)))
+def check_nonvanishing(volumes: Volumes) -> CheckResult:
+    return _sweep("volume-nonvanishing-iff-sdim-nonnegative",
+                  f"exhaustive m,n <= {_bound(volumes, -2)}",
+                  ((spec, (not vol.is_zero()) == (grassvol.sdim(spec) >= 0))
+                   for spec, vol in volumes.items()))
 
 
-def check_volume_symmetry(max_mn: int = 6) -> CheckResult:
-    return _sweep("volume-swap-symmetry", f"exhaustive m,n <= {max_mn}",
-                  ((spec, grassvol.volume(spec) == grassvol.volume(spec.swapped()))
-                   for spec in _specs(max_mn)))
+def check_volume_symmetry(volumes: Volumes) -> CheckResult:
+    return _sweep("volume-swap-symmetry", f"exhaustive m,n <= {_bound(volumes, -2)}",
+                  ((spec, vol == volumes[spec.swapped()]) for spec, vol in volumes.items()))
 
 
-def _cross_outcomes(max_mn: int):
-    for spec in _specs(max_mn):
+def _cross_outcomes(volumes: Volumes):
+    for spec, vol in volumes.items():
         if spec.r >= spec.s and grassvol.sdim(spec) >= 0:
-            yield ("fibration", spec), grassvol.volume_via_fibration(spec) == grassvol.volume(spec)
-        yield ("duality", spec), grassvol.check_complement_duality(spec)
+            yield ("fibration", spec), grassvol.volume_via_fibration(spec) == vol
+        sign = VolumeExpr.make(grassvol.duality_sign(spec))
+        yield ("duality", spec), vol == sign * volumes[spec.complement()]
 
 
-def check_cross_formula(max_mn: int = 6) -> CheckResult:
-    return _sweep("volume-cross-formula-and-duality", f"exhaustive m,n <= {max_mn}",
-                  _cross_outcomes(max_mn))
+def check_cross_formula(volumes: Volumes) -> CheckResult:
+    return _sweep("volume-cross-formula-and-duality", f"exhaustive m,n <= {_bound(volumes, -2)}",
+                  _cross_outcomes(volumes))
 
 
 def check_flag_identity(max_c: int = 8) -> CheckResult:
@@ -187,21 +198,15 @@ def check_flag_identity(max_c: int = 8) -> CheckResult:
                   ((t, grassvol.check_flag_identity(*t)) for t in triples))
 
 
-def check_two_pi_power(max_mn: int = 6) -> CheckResult:
-    volumes = ((spec, grassvol.volume(spec)) for spec in _specs(max_mn))
-    return _sweep("two-pi-power-equals-odd-dimension", f"exhaustive m,n <= {max_mn}",
+def check_two_pi_power(volumes: Volumes) -> CheckResult:
+    return _sweep("two-pi-power-equals-odd-dimension", f"exhaustive m,n <= {_bound(volumes, -2)}",
                   ((spec, vol.is_zero() or vol.two_pi_power == grassvol.dims(spec).odd)
-                   for spec, vol in volumes))
-
-
-def _brute_max_n(table: dict[tuple[int, int], Fraction]) -> int:
-    """The bound n of a ``qlocal.brute_c_table`` table, read from its keys."""
-    return max((n for _, n in table), default=-1)
+                   for spec, vol in volumes.items()))
 
 
 def check_c_table(table: dict[tuple[int, int], Fraction], samples: int) -> CheckResult:
     """``table`` is ``qlocal.brute_c_table(max_n, seed, samples)``."""
-    max_n = _brute_max_n(table)
+    max_n = _bound(table, -1)
     return _sweep("c-table-bruteforce-matches-closed-form",
                   f"all 0 <= r <= n <= {max_n}, {samples} samples each",
                   ((case, table[case] == qlocal.c_closed(*case)) for case in _triangle(max_n)))
@@ -210,7 +215,7 @@ def check_c_table(table: dict[tuple[int, int], Fraction], samples: int) -> Check
 def check_c_recursions(table: dict[tuple[int, int], Fraction], max_n: int = 20) -> CheckResult:
     """Closed form to ``max_n`` and the brute table against [n choose r]_(-1),
     which obeys both recursions."""
-    brute_max_n = _brute_max_n(table)
+    brute_max_n = _bound(table, -1)
     return _sweep("c-recursions-and-symmetry",
                   f"closed form to n = {max_n}, brute force to n = {brute_max_n}",
                   (((r, n), qlocal.c_closed(r, n) == qlocal.gaussian_binomial(n, r, -1))
@@ -318,11 +323,12 @@ def check_chains(max_gl: int = 5, max_q: int = 10) -> CheckResult:
                                   lambda e: e["parity_product"] % 2 == 0))
 
 
-def check_predicate_agreement(max_gl: int = 6, max_q: int = 20) -> CheckResult:
+def check_predicate_agreement(volumes: Volumes, max_q: int = 20) -> CheckResult:
     return _sweep(
-        "splitting-predicates-agree-with-volumes", f"GL m,n <= {max_gl}, Q n <= {max_q}",
-        ((spec, splitting.is_splitting_levi_gl(spec.r, spec.s, spec.m, spec.n).ok
-          == (not grassvol.volume(spec).is_zero())) for spec in _specs(max_gl)),
+        "splitting-predicates-agree-with-volumes",
+        f"GL m,n <= {_bound(volumes, -2)}, Q n <= {max_q}",
+        ((spec, splitting.is_splitting_levi_gl(*spec).ok == (not vol.is_zero()))
+         for spec, vol in volumes.items()),
         ((("Q", r, n), splitting.is_splitting_levi_q(r, n).ok == (qlocal.c_closed(r, n) != 0))
          for r, n in _triangle(max_q)))
 
@@ -335,25 +341,30 @@ def _sdim_necessity_holds(spec: GrassSpec) -> bool:
     return necessity == (grassvol.sdim(spec) >= 0)
 
 
-def check_sdim_necessity(max_mn: int = 6) -> CheckResult:
-    return _sweep("sdim-necessity-reproduces-grassmannian-sdim", f"exhaustive m,n <= {max_mn}",
-                  ((spec, _sdim_necessity_holds(spec)) for spec in _specs(max_mn)))
+def check_sdim_necessity(volumes: Volumes) -> CheckResult:
+    """Reads only the specs of ``volumes``, not their volumes."""
+    return _sweep("sdim-necessity-reproduces-grassmannian-sdim",
+                  f"exhaustive m,n <= {_bound(volumes, -2)}",
+                  ((spec, _sdim_necessity_holds(spec)) for spec in volumes))
 
 
 def run_all(seed: int = 0, max_n_grass: int = 6, max_n_c: int = 12) -> list[CheckResult]:
     """Every named sweep, with exhaustive bounds adjustable for runtime."""
     c_table = qlocal.brute_c_table(max_n_c, seed, C_TABLE_SAMPLES)
+    volumes = {spec: grassvol.volume(spec) for spec in _specs(max_n_grass)}
+    systems = {(m, n): rootsys.build_root_system("gl", m, n)
+               for m, n in itertools.product(range(GL_MAX_RANK + 1), repeat=2)}
     return [
         check_pfaffian_square(seed),
         check_pfaffian_congruence(seed + 1),
         check_alpha_agreement(seed + 2),
-        check_defect_table(),
-        check_root_system_invariants(),
-        check_nonvanishing(max_n_grass),
-        check_volume_symmetry(max_n_grass),
-        check_cross_formula(max_n_grass),
+        check_defect_table(systems),
+        check_root_system_invariants(systems),
+        check_nonvanishing(volumes),
+        check_volume_symmetry(volumes),
+        check_cross_formula(volumes),
         check_flag_identity(8),
-        check_two_pi_power(max_n_grass),
+        check_two_pi_power(volumes),
         check_c_table(c_table, C_TABLE_SAMPLES),
         check_c_recursions(c_table, 20),
         check_c_vanishing(20),
@@ -362,6 +373,6 @@ def run_all(seed: int = 0, max_n_grass: int = 6, max_n_c: int = 12) -> list[Chec
         check_rho_coefficients(),
         check_d21a_weights(),
         check_chains(min(5, max_n_grass)),
-        check_predicate_agreement(max_n_grass),
-        check_sdim_necessity(max_n_grass),
+        check_predicate_agreement(volumes),
+        check_sdim_necessity(volumes),
     ]

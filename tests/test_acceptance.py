@@ -14,7 +14,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from supervol import exactnum, grassvol, qlocal, verify
+from supervol import exactnum, grassvol, qlocal, rootsys, verify
 from supervol.grassvol import GrassSpec
 
 
@@ -35,6 +35,17 @@ def all_specs(max_mn):
     for m, n in itertools.product(range(max_mn + 1), repeat=2):
         for r, s in itertools.product(range(m + 1), range(n + 1)):
             yield GrassSpec(r, s, m, n)
+
+
+def volume_table(max_mn):
+    """The table of volumes that ``verify.run_all`` hands to its volume sweeps."""
+    return {spec: grassvol.volume(spec) for spec in all_specs(max_mn)}
+
+
+def gl_systems(max_rank):
+    """The table of gl root systems that ``verify.run_all`` hands to its root sweeps."""
+    return {(m, n): rootsys.build_root_system("gl", m, n)
+            for m, n in itertools.product(range(max_rank + 1), repeat=2)}
 
 
 def test_criterion_1_c_table():
@@ -79,7 +90,7 @@ def test_criterion_4_equal_rank_volumes():
 
 def test_criterion_5_cross_formula_consistency():
     with criterion(5, "five-factor route, duality sign, and flag identity"):
-        result = verify.check_cross_formula(6)
+        result = verify.check_cross_formula(volume_table(6))
         assert result.passed, result.detail
         result = verify.check_flag_identity(8)
         assert result.passed, result.detail
@@ -115,7 +126,7 @@ def test_criterion_7_pfaffian_suite():
 
 def test_criterion_8_defect_table():
     with criterion(8, "defects: gl table m,n <= 4 and the defect-one families"):
-        result = verify.check_defect_table(4)
+        result = verify.check_defect_table(gl_systems(4))
         assert result.passed, result.detail
 
 
@@ -137,5 +148,5 @@ def test_criterion_11_splitting_chains():
     with criterion(11, "chains validate and predicates agree with volumes"):
         result = verify.check_chains(5, 10)
         assert result.passed, result.detail
-        result = verify.check_predicate_agreement(6, 20)
+        result = verify.check_predicate_agreement(volume_table(6), 20)
         assert result.passed, result.detail

@@ -1,8 +1,10 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -10,8 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supervol import cli, qlocal, rootsys, sympair
-from supervol.grassvol import VolumeExpr
+from supervol.grassvol import GrassSpec, VolumeExpr, volume
 from supervol.schema import ENVELOPE_SCHEMA, VOLUME_EXPR_SCHEMA
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -42,12 +46,36 @@ def test_volume_text(capsys):
 def test_volume_json_round_trip(capsys):
     envelope = main_json("volume", "1", "1", "2", "2")
     jsonschema.validate(envelope["result"], VOLUME_EXPR_SCHEMA)
-    expr = VolumeExpr.from_payload(envelope["result"])
+    expr = volume(GrassSpec(1, 1, 2, 2))
     assert expr == VolumeExpr.make(2, 2)
+    assert envelope["result"] == expr.to_payload()
+    assert isinstance(envelope["result"]["coeff"], str)
     assert envelope["params"] == {"r": 1, "s": 1, "m": 2, "n": 2}
     # text and json carry the same numeric content
     _, text, _ = run_cli(capsys, "volume", "1", "1", "2", "2")
     assert expr.render() == text.strip()
+
+
+def _grass_argvs(max_mn):
+    for m, n in itertools.product(range(max_mn + 1), repeat=2):
+        for r, s in itertools.product(range(m + 1), range(n + 1)):
+            yield [str(r), str(s), str(m), str(n)]
+
+
+@pytest.mark.parametrize("name, argvs", [
+    ("volume_mn4.txt", [["volume", *a] for a in _grass_argvs(4)]),
+    ("volume_mn4.jsonl", [["volume", "--format", "json", *a] for a in _grass_argvs(4)]),
+    ("qvolume_n6.jsonl", [["qvolume", "--format", "json", str(r), str(n)]
+                          for n in range(7) for r in range(n + 1)]),
+])
+def test_volume_output_matches_the_recorded_output(capsys, name, argvs):
+    # recorded from the CLI, one call per spec in this order: a change to
+    # the volume representation that shows in any output shows here
+    out = []
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == (DATA / name).read_text()
 
 
 def test_volume_json_with_atoms():

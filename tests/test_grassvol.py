@@ -152,17 +152,13 @@ def test_expression_arithmetic():
             bad()
 
 
-def test_json_round_trip():
-    samples = [
-        VolumeExpr.zero(),
-        VolumeExpr.make(Fraction(-7, 3), 5, ((1, 3, 2), (2, 5, -1))),
-        volume(GrassSpec(2, 1, 4, 2)),
-        volume(GrassSpec(3, 3, 5, 5)),
-    ]
-    for expr in samples:
-        assert VolumeExpr.from_payload(expr.to_payload()) == expr
-        payload = expr.to_payload()
-        assert isinstance(payload["coeff"], str)
+def test_make_rejects_an_invalid_atom_even_when_it_cancels():
+    # every atom is validated as it is merged, before exponents can cancel
+    with pytest.raises(ValueError, match=r"invalid volume atom V\(-2,3\)"):
+        VolumeExpr.make(1, 0, ((5, 3, 1), (5, 3, -1)))
+    # valid atoms still cancel, and V(a, b) meets V(b-a, b)
+    assert VolumeExpr.make(1, 0, ((1, 3, 1), (2, 3, -1))) == VolumeExpr.make(1)
+    assert VolumeExpr.make(2, 1, ((3, 4, 1), (1, 4, 1), (0, 9, 5))).atoms == ((1, 4, 2),)
 
 
 def test_render_examples():

@@ -12,7 +12,6 @@ from supervol.rootsys import (
     build_root_system,
     defect,
     defect_subgroup_roots,
-    inner,
     isotropic_roots,
     witt_index,
 )
@@ -26,7 +25,7 @@ def test_gl11_two_odd_isotropic_roots():
     system = build_root_system("gl", 1, 1)
     assert len(system.roots) == 2
     assert all(r.parity == ODD for r in system.roots)
-    assert all(inner(system, r.coords, r.coords) == 0 for r in system.roots)
+    assert all(form(system.gram, r.coords, r.coords) == 0 for r in system.roots)
 
 
 def test_gl21_root_inventory():
@@ -111,30 +110,30 @@ def test_d21a_odd_roots_isotropic_for_any_alpha(alpha):
     system = build_root_system("d21a", alpha)
     odds = [r for r in system.roots if r.parity == ODD]
     assert len(odds) == 8
-    assert all(inner(system, r.coords, r.coords) == 0 for r in odds)
-    assert inner(system, (1, 1, 1), (1, 1, 1)) == 0
+    assert all(form(system.gram, r.coords, r.coords) == 0 for r in odds)
+    assert form(system.gram, (1, 1, 1), (1, 1, 1)) == 0
 
 
 def test_inner_examples():
     gl11 = build_root_system("gl", 1, 1)
-    assert inner(gl11, (1, -1), (1, -1)) == 0
+    assert form(gl11.gram, (1, -1), (1, -1)) == 0
     gl20 = build_root_system("gl", 2, 0)
-    assert inner(gl20, (1, -1), (1, -1)) == 2
+    assert form(gl20.gram, (1, -1), (1, -1)) == 2
     with pytest.raises(ValueError, match="dimension"):
-        inner(gl20, (1,), (1, 0))
+        form(gl20.gram, (1,), (1, 0))
     with pytest.raises(ValueError, match="dimension"):
-        inner(gl20, (1, 0), (1, 0, 0))
+        form(gl20.gram, (1, 0), (1, 0, 0))
     with pytest.raises(TypeError, match="exact"):
-        inner(gl20, (1, 0.5), (1, 0))
+        form(gl20.gram, (1, 0.5), (1, 0))
     with pytest.raises(TypeError, match="exact"):
-        inner(gl20, (1, 0), (0.0, 1))
+        form(gl20.gram, (1, 0), (0.0, 1))
     # zero coordinates are skipped; the value is the dense sum
     g3 = build_root_system("g3")
     for v, w in (((1, 0, 0), (0, 1, 0)), ((0, 2, 0), (1, 0, 3)),
                  ((Fraction(1, 2), 0, -1), (0, 0, 0)), ((3, -1, 2), (1, 1, Fraction(-1, 3)))):
         dense = sum(Fraction(v[i]) * g3.gram[i][j] * w[j]
                     for i in range(3) for j in range(3))
-        assert inner(g3, v, w) == dense
+        assert form(g3.gram, v, w) == dense
 
 
 def test_negation_closure():
@@ -219,12 +218,12 @@ def brute_force_defect(system) -> int:
     from the largest down and testing it with the exact form."""
     reps = []
     for r in system.roots:
-        if (r.parity == ODD and inner(system, r.coords, r.coords) == 0
+        if (r.parity == ODD and form(system.gram, r.coords, r.coords) == 0
                 and tuple(-c for c in r.coords) not in reps):
             reps.append(r.coords)
     for size in range(len(reps), 0, -1):
         for subset in itertools.combinations(reps, size):
-            if (all(inner(system, v, w) == 0 for v, w in itertools.combinations(subset, 2))
+            if (all(form(system.gram, v, w) == 0 for v, w in itertools.combinations(subset, 2))
                     and rootsys.rank(subset) == size):
                 return size
     return 0
@@ -262,9 +261,9 @@ def test_defect_subgroup_roots_are_orthogonal_isotropic():
     assert len(pairs) == 3
     chosen = [p.coords for p, _ in pairs]
     for i, v in enumerate(chosen):
-        assert inner(system, v, v) == 0
+        assert form(system.gram, v, v) == 0
         for w in chosen[i + 1:]:
-            assert inner(system, v, w) == 0
+            assert form(system.gram, v, w) == 0
     assert rootsys.rank(chosen) == len(chosen)
 
 
@@ -298,7 +297,7 @@ def test_integer_defect_route_matches_exact_form(family, params):
     system = build_root_system(family, *params)
     assert isotropic_roots(system) == tuple(
         r for r in system.roots
-        if r.parity == ODD and inner(system, r.coords, r.coords) == 0)
+        if r.parity == ODD and form(system.gram, r.coords, r.coords) == 0)
     if not isotropic_roots(system):
         return
     pairs = defect_subgroup_roots(system)
@@ -307,7 +306,7 @@ def test_integer_defect_route_matches_exact_form(family, params):
     assert set(chosen) <= {r.coords for r in system.roots}
     for i, v in enumerate(chosen):
         for w in chosen[i:]:
-            assert inner(system, v, w) == 0
+            assert form(system.gram, v, w) == 0
 
 
 def test_defect_witnesses_literal():

@@ -154,6 +154,13 @@ def test_chain_validation_catches_tampering():
                     {"r": 2, "s": 0, "m": 3, "n": 4, "sdim": -6})
     assert not bad.validate()
 
+    # equal odd dimensions do not make sub a subgroup of sup
+    for sub, sup, odd_dim in ((GL(1, 0), GL(5, 0), 0), (SL(2, 1), GL(1, 2), 4)):
+        forged = ChainStep(sub, sup, RULE_ODD_PARTS_EQUAL, {"odd_dim": odd_dim})
+        assert sub.odd_dim == sup.odd_dim == odd_dim
+        assert not forged.validate()
+        assert not splitting.SubgroupChain(sup, (forged,)).validate()
+
 
 def test_sdim_necessity_examples():
     assert sdim_necessity((5, 5), (5, 5))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -5,9 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from supervol import cli, qlocal, sympair, verify
+from supervol import cli, grassvol, qlocal, rootsys, sympair, verify
+from supervol.grassvol import GrassSpec
 
 DATA = Path(__file__).parent / "data"
+
+
+def volume_table(max_mn):
+    return {spec: grassvol.volume(spec) for spec in verify._specs(max_mn)}
 
 
 def test_run_all_calls_every_check_once(monkeypatch):
@@ -42,6 +48,66 @@ def test_run_all_bounds_reach_every_sweep():
         "n <= 3, 3 samples, seeded t = p/q; 30 cases, ")
     assert details["c-table-bruteforce-matches-closed-form"].startswith(
         "all 0 <= r <= n <= 3, ")
+
+
+@pytest.mark.parametrize("max_n_grass, table_size", [(2, 36), (6, 784)])
+def test_run_all_computes_each_volume_and_gl_system_once(monkeypatch, max_n_grass,
+                                                         table_size):
+    volumes, systems = [], []
+    real_volume, real_build = grassvol.volume, rootsys.build_root_system
+
+    def volume(spec):
+        volumes.append(spec)
+        return real_volume(spec)
+
+    def build(family, *params):
+        if family == "gl":
+            systems.append(params)
+        return real_build(family, *params)
+
+    monkeypatch.setattr(grassvol, "volume", volume)
+    monkeypatch.setattr(rootsys, "build_root_system", build)
+    verify.run_all(max_n_grass=max_n_grass)
+    # one volume per table spec, then the flag identity's own four per
+    # triple a <= b <= c <= 8: 1,444 calls at the default bound
+    assert volumes[:table_size] == list(verify._specs(max_n_grass))
+    assert len(volumes) == table_size + 660
+    assert all(spec.n == spec.s for spec in volumes[table_size:])
+    assert systems == list(itertools.product(range(verify.GL_MAX_RANK + 1), repeat=2))
+    assert len(systems) == 25
+
+
+def test_a_wrong_table_volume_fails_every_sweep_that_reads_it():
+    volumes = volume_table(2)
+    # sdim < 0, so the true volume is zero; it precedes its swap and its
+    # complement in the table, so no earlier case can look it up
+    planted = GrassSpec(0, 2, 1, 2)
+    assert volumes[planted].is_zero()
+    volumes[planted] = grassvol.VolumeExpr.make(1, 99)
+    duality = ("duality", planted)
+    for check, first in ((verify.check_nonvanishing, planted),
+                         (verify.check_volume_symmetry, planted),
+                         (verify.check_cross_formula, duality),
+                         (verify.check_two_pi_power, planted),
+                         (verify.check_predicate_agreement, planted)):
+        result = check(volumes)
+        assert not result.passed, check.__name__
+        assert result.detail.endswith(f", first {first}"), result.detail
+    # the sdim sweep reads only the table's specs
+    assert verify.check_sdim_necessity(volumes).passed
+
+
+def test_sweeps_read_their_bounds_from_the_tables():
+    assert verify.check_nonvanishing(volume_table(3)).detail.startswith(
+        "exhaustive m,n <= 3; ")
+    assert verify.check_predicate_agreement(volume_table(1), 2).detail.startswith(
+        "GL m,n <= 1, Q n <= 2; ")
+    systems = {(m, n): rootsys.build_root_system("gl", m, n) for m, n in [(0, 1), (2, 1)]}
+    assert verify.check_root_system_invariants(systems).detail.startswith("gl up to rank 2; ")
+    empty = verify.check_sdim_necessity({})
+    assert not empty.passed
+    assert empty.detail == ("exhaustive m,n <= -1; 0 cases, 0 failures; "
+                            "part 1 of 1 covered no case")
 
 
 def test_check_with_an_empty_part_fails():
