@@ -24,7 +24,7 @@ from fractions import Fraction
 
 DEFAULT_SEED = 20240001
 # Largest accepted ``verify`` bounds.  The grassmannian sweeps grow as
-# max_n^4 (at 16 they add about 2 s to a run on a 2 vCPU Xeon); the
+# max_n^4 (at 16 they add about 1 s to a run on a 2 vCPU Xeon); the
 # subset sums stop at qlocal's n <= 14.
 MAX_N_GRASS = 16
 MAX_N_C = 14

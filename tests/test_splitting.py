@@ -155,7 +155,7 @@ def test_chain_validation_catches_tampering():
     assert not bad.validate()
 
     # equal odd dimensions do not make sub a subgroup of sup
-    for sub, sup, odd_dim in ((GL(1, 0), GL(5, 0), 0), (SL(2, 1), GL(1, 2), 4)):
+    for sub, sup, odd_dim in ((GL(5, 0), GL(1, 0), 0), (SL(2, 1), GL(1, 2), 4)):
         forged = ChainStep(sub, sup, RULE_ODD_PARTS_EQUAL, {"odd_dim": odd_dim})
         assert sub.odd_dim == sup.odd_dim == odd_dim
         assert not forged.validate()
