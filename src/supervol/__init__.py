@@ -18,8 +18,7 @@ _EXPORTS = {
     "exactnum": ("alpha_diagonal", "alpha_pfaffian", "inertia", "pfaffian",
                  "realified_diagonal_action", "realify"),
     "grassvol": ("GrassSpec", "SuperDim", "VolumeExpr", "check_flag_identity",
-                 "check_complement_duality", "dims", "duality_sign", "sdim",
-                 "volume", "volume_via_fibration"),
+                 "dims", "duality_sign", "sdim", "volume", "volume_via_fibration"),
     "qlocal": ("LocalizationReport", "alpha_subset", "c_bruteforce", "c_closed",
                "gaussian_binomial", "gl_localization", "localization_sum",
                "localization_sums", "seeded_param_vectors"),

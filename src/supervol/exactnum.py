@@ -195,10 +195,6 @@ def _skew(m) -> bool:
             and all(m[i][j] == -m[j][i] for i in range(n) for j in range(i, n)))
 
 
-def is_skew(m) -> bool:
-    return _skew(mat(m))
-
-
 def _check_even(n: int) -> None:
     if n % 2 == 1:
         raise ValueError("Pfaffian undefined for odd dimension")

@@ -230,13 +230,6 @@ def duality_sign(spec: GrassSpec) -> int:
     return -1 if (r * (n - s) + s * (m - r)) % 2 else 1
 
 
-def check_complement_duality(spec: GrassSpec) -> bool:
-    """Verify V(r|s,m|n) = sign * V(m-r|n-s,m|n) on canonical expressions."""
-    lhs = volume(spec)
-    rhs = VolumeExpr.make(duality_sign(spec)) * volume(spec.complement())
-    return lhs == rhs
-
-
 def check_flag_identity(a: int, b: int, c: int) -> bool:
     """Verify V(b|a,c|a) = V(b-a,c-a) V(a|a,c|a) / V(a|a,b|a) for a<=b<=c."""
     if not 0 <= a <= b <= c:

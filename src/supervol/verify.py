@@ -20,10 +20,21 @@ from typing import NamedTuple
 from . import exactnum, grassvol, qlocal, rootsys, splitting, sympair
 from .grassvol import GrassSpec, VolumeExpr
 
-# Parameter samples per n of the brute-force subset-sum table.
-C_TABLE_SAMPLES = 3
-# Largest m and n of the gl(m|n) root systems that run_all builds.
-GL_MAX_RANK = 4
+# Every scope that run_all's bounds do not set, and the caps of the two
+# sweeps that follow max_n_c and max_n_grass.
+PFAFFIAN_SQUARE_SAMPLES = 100
+PFAFFIAN_CONGRUENCE_SAMPLES = 40
+ALPHA_SAMPLES = 50
+FLAG_MAX_C = 8
+CLOSED_FORM_MAX_N = 20  # C(r, n) closed form and the Q(n) predicates
+C_TABLE_SAMPLES = 3  # parameter vectors per n: the c table and the localization sweep
+LOCALIZATION_MAX_N = 10  # cap on max_n_c
+CASIMIR_POINTS = 100
+RHO_MAX_N = 6
+D21A_MAX_L = 100
+CHAIN_MAX_GL = 5  # cap on max_n_grass
+CHAIN_MAX_Q = 10
+GL_MAX_RANK = 4  # the gl(m|n) root systems have m, n <= GL_MAX_RANK
 
 # Tables that run_all builds once; each sweep reads its bound from the keys.
 Volumes = dict[GrassSpec, VolumeExpr]
@@ -94,18 +105,18 @@ def _random_skew(n: int, rng: random.Random):
     return entries
 
 
-def check_pfaffian_square(seed: int, samples: int = 100) -> CheckResult:
+def check_pfaffian_square(seed: int) -> CheckResult:
     rng = random.Random(seed)
-    matrices = (_random_skew(2 * rng.randint(1, 5), rng) for _ in range(samples))
+    matrices = (_random_skew(2 * rng.randint(1, 5), rng) for _ in range(PFAFFIAN_SQUARE_SAMPLES))
     return _sweep("pfaffian-square-equals-determinant",
                   "random skew matrices up to 10x10",
                   ((f"sample {k}", exactnum.pfaffian(m) ** 2 == exactnum.det(m))
                    for k, m in enumerate(matrices)))
 
 
-def _congruences(seed: int, samples: int):
+def _congruences(seed: int):
     rng = random.Random(seed)
-    for k in range(samples):
+    for k in range(PFAFFIAN_CONGRUENCE_SAMPLES):
         n = 2 * rng.randint(1, 3)
         m = _random_skew(n, rng)
         p = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
@@ -114,14 +125,14 @@ def _congruences(seed: int, samples: int):
         yield f"sample {k}", lhs == exactnum.det(p) * exactnum.pfaffian(m)
 
 
-def check_pfaffian_congruence(seed: int, samples: int = 40) -> CheckResult:
+def check_pfaffian_congruence(seed: int) -> CheckResult:
     return _sweep("pfaffian-congruence-scaling", "random congruences up to 6x6",
-                  _congruences(seed, samples))
+                  _congruences(seed))
 
 
-def _alpha_models(seed: int, samples: int):
+def _alpha_models(seed: int):
     rng = random.Random(seed)
-    for k in range(samples):
+    for k in range(ALPHA_SAMPLES):
         n = rng.randint(1, 4)
         c = [Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(n)]
         d = [Fraction(rng.choice([x for x in range(-8, 9) if x]), rng.randint(1, 3))
@@ -130,9 +141,9 @@ def _alpha_models(seed: int, samples: int):
         yield f"sample {k}", exactnum.alpha_pfaffian(q01, q10) == exactnum.alpha_diagonal(c, d)
 
 
-def check_alpha_agreement(seed: int, samples: int = 50) -> CheckResult:
+def check_alpha_agreement(seed: int) -> CheckResult:
     return _sweep("alpha-pfaffian-matches-diagonal-product",
-                  "realified diagonal models", _alpha_models(seed, samples))
+                  "realified diagonal models", _alpha_models(seed))
 
 
 def check_defect_table(systems: GlSystems) -> CheckResult:
@@ -192,9 +203,9 @@ def check_cross_formula(volumes: Volumes) -> CheckResult:
                   _cross_outcomes(volumes))
 
 
-def check_flag_identity(max_c: int = 8) -> CheckResult:
-    triples = itertools.combinations_with_replacement(range(max_c + 1), 3)
-    return _sweep("flag-fibration-volume-identity", f"exhaustive a <= b <= c <= {max_c}",
+def check_flag_identity() -> CheckResult:
+    triples = itertools.combinations_with_replacement(range(FLAG_MAX_C + 1), 3)
+    return _sweep("flag-fibration-volume-identity", f"exhaustive a <= b <= c <= {FLAG_MAX_C}",
                   ((t, grassvol.check_flag_identity(*t)) for t in triples))
 
 
@@ -204,56 +215,56 @@ def check_two_pi_power(volumes: Volumes) -> CheckResult:
                    for spec, vol in volumes.items()))
 
 
-def check_c_table(table: dict[tuple[int, int], Fraction], samples: int) -> CheckResult:
-    """``table`` is ``qlocal.brute_c_table(max_n, seed, samples)``."""
+def check_c_table(table: dict[tuple[int, int], Fraction]) -> CheckResult:
+    """``table`` is ``qlocal.brute_c_table(max_n, seed, C_TABLE_SAMPLES)``."""
     max_n = _bound(table, -1)
     return _sweep("c-table-bruteforce-matches-closed-form",
-                  f"all 0 <= r <= n <= {max_n}, {samples} samples each",
+                  f"all 0 <= r <= n <= {max_n}, {C_TABLE_SAMPLES} samples each",
                   ((case, table[case] == qlocal.c_closed(*case)) for case in _triangle(max_n)))
 
 
-def check_c_recursions(table: dict[tuple[int, int], Fraction], max_n: int = 20) -> CheckResult:
-    """Closed form to ``max_n`` and the brute table against [n choose r]_(-1),
-    which obeys both recursions."""
+def check_c_recursions(table: dict[tuple[int, int], Fraction]) -> CheckResult:
+    """Closed form to ``CLOSED_FORM_MAX_N`` and the brute table against
+    [n choose r]_(-1), which obeys both recursions."""
     brute_max_n = _bound(table, -1)
     return _sweep("c-recursions-and-symmetry",
-                  f"closed form to n = {max_n}, brute force to n = {brute_max_n}",
+                  f"closed form to n = {CLOSED_FORM_MAX_N}, brute force to n = {brute_max_n}",
                   (((r, n), qlocal.c_closed(r, n) == qlocal.gaussian_binomial(n, r, -1))
-                   for r, n in _triangle(max_n, low=1)),
+                   for r, n in _triangle(CLOSED_FORM_MAX_N, low=1)),
                   (((r, n), table[(r, n)] == qlocal.gaussian_binomial(n, r, -1))
                    for r, n in _triangle(brute_max_n, low=1)))
 
 
-def check_c_vanishing(max_n: int = 20) -> CheckResult:
-    return _sweep("c-nonzero-iff-even-parity-product", f"n <= {max_n}",
+def check_c_vanishing() -> CheckResult:
+    return _sweep("c-nonzero-iff-even-parity-product", f"n <= {CLOSED_FORM_MAX_N}",
                   (((r, n), (qlocal.c_closed(r, n) != 0) == (r * (n - r) % 2 == 0))
-                   for r, n in _triangle(max_n)))
+                   for r, n in _triangle(CLOSED_FORM_MAX_N)))
 
 
-def _gl_localization_outcomes(max_n: int, seed: int, samples: int):
+def _gl_localization_outcomes(max_n: int, seed: int):
     # one seeded t per (n, vector), and one pass of the kernel for every r
     rng = random.Random(seed)
     for n in range(max_n + 1):
-        for a in qlocal.seeded_param_vectors(n, samples, seed + 1000 + n):
+        for a in qlocal.seeded_param_vectors(n, C_TABLE_SAMPLES, seed + 1000 + n):
             t = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             for r, total in enumerate(qlocal.localization_sums(n, a, t)):
                 yield (r, n, str(t)), total == qlocal.gaussian_binomial(n, r, t)
 
 
-def check_gl_localization(max_n: int = 10, seed: int = 0, samples: int = 3) -> CheckResult:
+def check_gl_localization(max_n: int, seed: int) -> CheckResult:
     return _sweep("localization-sum-is-gaussian-binomial",
-                  f"n <= {max_n}, {samples} samples, seeded t = p/q",
-                  _gl_localization_outcomes(max_n, seed, samples))
+                  f"n <= {max_n}, {C_TABLE_SAMPLES} samples, seeded t = p/q",
+                  _gl_localization_outcomes(max_n, seed))
 
 
-def _casimir_outcomes(points_per_pair: int):
+def _casimir_outcomes():
     pairs = sympair.builtin_pairs(1, 3) + [sympair.osp_pair(2, 3), sympair.osp_pair(2, 5)]
     for pair in pairs:
         positive = sympair.gram_positive_definite(pair)
         yield (pair.name, "gram"), positive
         if not positive:
             continue
-        grid = _dominant_grid(pair.rank, points_per_pair)
+        grid = _dominant_grid(pair.rank)
         # the fundamental weights W_j over one lcm d and the grid points c
         # over one lcm g, as integers: the weight sum_j c_j W_j is an integer
         # combination over g d
@@ -264,26 +275,25 @@ def _casimir_outcomes(points_per_pair: int):
         weights = ([sum(map(operator.mul, c, col)) for col in columns] for c in numerators)
         yield from zip(((pair.name, coeffs) for coeffs in grid),
                        sympair.positivity_checks(pair, weights, g * d))
-        yield (pair.name, "grid-size", len(grid)), len(grid) >= points_per_pair
+        yield (pair.name, "grid-size", len(grid)), len(grid) >= CASIMIR_POINTS
 
 
-def check_casimir_positivity(points_per_pair: int = 100) -> CheckResult:
+def check_casimir_positivity() -> CheckResult:
     return _sweep("casimir-positive-on-dominant-weights",
-                  f">= {points_per_pair} dominant points per pair",
-                  _casimir_outcomes(points_per_pair))
+                  f">= {CASIMIR_POINTS} dominant points per pair", _casimir_outcomes())
 
 
-def _dominant_grid(rank: int, minimum: int):
+def _dominant_grid(rank: int):
     """Nonzero nonnegative coefficient tuples in fundamental-weight coords."""
     if rank == 1:
-        return [(Fraction(k, 20),) for k in range(1, minimum + 1)]
+        return [(Fraction(k, 20),) for k in range(1, CASIMIR_POINTS + 1)]
     steps = [Fraction(k, 2) for k in range(11)]  # 0, 1/2, ..., 5
     return [t for t in itertools.product(steps, repeat=rank) if any(t)]
 
 
-def _rho_outcomes(max_n: int):
-    for m in range(max_n):
-        for n in range(m + 1, max_n + 1):
+def _rho_outcomes():
+    for m in range(RHO_MAX_N):
+        for n in range(m + 1, RHO_MAX_N + 1):
             coeffs, nonneg = sympair.rho_coefficients(sympair.osp_pair(m, n))
             yield ("osp", m, n), coeffs == (Fraction(n - m - 1),) and nonneg
     for pair, expected in ((sympair.g12_pair(), (1, 1)),
@@ -292,14 +302,14 @@ def _rho_outcomes(max_n: int):
         yield pair.name, coeffs == tuple(Fraction(c) for c in expected) and nonneg
 
 
-def check_rho_coefficients(max_n: int = 6) -> CheckResult:
+def check_rho_coefficients() -> CheckResult:
     return _sweep("rho-coefficients-match-declared-values",
-                  f"osp grid 0 <= m < n <= {max_n} plus fixed pairs", _rho_outcomes(max_n))
+                  f"osp grid 0 <= m < n <= {RHO_MAX_N} plus fixed pairs", _rho_outcomes())
 
 
-def check_d21a_weights(max_l: int = 100) -> CheckResult:
-    return _sweep("principal-block-weights-in-rank-two-subspace", f"l <= {max_l}",
-                  ((l, sympair.d21a_in_a_star(l) == (l <= 1)) for l in range(max_l + 1)))
+def check_d21a_weights() -> CheckResult:
+    return _sweep("principal-block-weights-in-rank-two-subspace", f"l <= {D21A_MAX_L}",
+                  ((l, sympair.d21a_in_a_star(l) == (l <= 1)) for l in range(D21A_MAX_L + 1)))
 
 
 def _chain_outcomes(groups, rule: str, evidence_holds):
@@ -313,24 +323,24 @@ def _chain_outcomes(groups, rule: str, evidence_holds):
                 yield (*label, rule), evidence_holds(step.evidence)
 
 
-def check_chains(max_gl: int = 5, max_q: int = 10) -> CheckResult:
+def check_chains(max_gl: int) -> CheckResult:
     gl = ((("GL", m, n), splitting.GL(m, n))
           for m, n in itertools.product(range(max_gl + 1), repeat=2))
-    q = ((("Q", n), splitting.Q(n)) for n in range(max_q + 1))
-    return _sweep("minimal-chains-validate", f"GL m,n <= {max_gl}, Q n <= {max_q}",
+    q = ((("Q", n), splitting.Q(n)) for n in range(CHAIN_MAX_Q + 1))
+    return _sweep("minimal-chains-validate", f"GL m,n <= {max_gl}, Q n <= {CHAIN_MAX_Q}",
                   _chain_outcomes(gl, splitting.RULE_LEVI_GL, lambda e: e["sdim"] == 0),
                   _chain_outcomes(q, splitting.RULE_LEVI_Q,
                                   lambda e: e["parity_product"] % 2 == 0))
 
 
-def check_predicate_agreement(volumes: Volumes, max_q: int = 20) -> CheckResult:
+def check_predicate_agreement(volumes: Volumes) -> CheckResult:
     return _sweep(
         "splitting-predicates-agree-with-volumes",
-        f"GL m,n <= {_bound(volumes, -2)}, Q n <= {max_q}",
+        f"GL m,n <= {_bound(volumes, -2)}, Q n <= {CLOSED_FORM_MAX_N}",
         ((spec, splitting.is_splitting_levi_gl(*spec).ok == (not vol.is_zero()))
          for spec, vol in volumes.items()),
         ((("Q", r, n), splitting.is_splitting_levi_q(r, n).ok == (qlocal.c_closed(r, n) != 0))
-         for r, n in _triangle(max_q)))
+         for r, n in _triangle(CLOSED_FORM_MAX_N)))
 
 
 def _sdim_necessity_holds(spec: GrassSpec) -> bool:
@@ -349,7 +359,8 @@ def check_sdim_necessity(volumes: Volumes) -> CheckResult:
 
 
 def run_all(seed: int = 0, max_n_grass: int = 6, max_n_c: int = 12) -> list[CheckResult]:
-    """Every named sweep, with exhaustive bounds adjustable for runtime."""
+    """Every named sweep: the tables follow ``max_n_grass`` and ``max_n_c``,
+    and two sweeps follow them up to a cap; every other scope is a constant."""
     c_table = qlocal.brute_c_table(max_n_c, seed, C_TABLE_SAMPLES)
     volumes = {spec: grassvol.volume(spec) for spec in _specs(max_n_grass)}
     systems = {(m, n): rootsys.build_root_system("gl", m, n)
@@ -363,16 +374,16 @@ def run_all(seed: int = 0, max_n_grass: int = 6, max_n_c: int = 12) -> list[Chec
         check_nonvanishing(volumes),
         check_volume_symmetry(volumes),
         check_cross_formula(volumes),
-        check_flag_identity(8),
+        check_flag_identity(),
         check_two_pi_power(volumes),
-        check_c_table(c_table, C_TABLE_SAMPLES),
-        check_c_recursions(c_table, 20),
-        check_c_vanishing(20),
-        check_gl_localization(min(10, max_n_c), seed),
+        check_c_table(c_table),
+        check_c_recursions(c_table),
+        check_c_vanishing(),
+        check_gl_localization(min(LOCALIZATION_MAX_N, max_n_c), seed),
         check_casimir_positivity(),
         check_rho_coefficients(),
         check_d21a_weights(),
-        check_chains(min(5, max_n_grass)),
+        check_chains(min(CHAIN_MAX_GL, max_n_grass)),
         check_predicate_agreement(volumes),
         check_sdim_necessity(volumes),
     ]

@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion, all exact (tolerance 0).
 
 Most criteria run the ``verify`` check that sweeps the same identity on
-the same inputs; criterion 3 keeps an independent sdim formula, criterion
-7 one shared random stream, and criterion 4 has no ``verify`` check.
+the same inputs, at ``verify``'s constants, and assert the scope it
+reports; criterion 3 keeps an independent sdim formula, criterion 7 one
+shared random stream, and criterion 4 has no ``verify`` check.
 Each test prints a single PASS/FAIL line (run with ``pytest -s`` to see
 them as they complete).
 """
@@ -48,21 +49,26 @@ def gl_systems(max_rank):
             for m, n in itertools.product(range(max_rank + 1), repeat=2)}
 
 
+def assert_passes(result, scope):
+    """``result`` passed and covered ``scope``, the criterion's bounds."""
+    assert result.passed, result.detail
+    assert result.detail.startswith(f"{scope}; "), result.detail
+
+
 def test_criterion_1_c_table():
     with criterion(1, "brute-force subset sums match the closed form, n <= 12"):
         started = time.monotonic()
-        result = verify.check_c_table(qlocal.brute_c_table(12, 1000, 3), 3)
-        assert result.passed, result.detail
-        result = verify.check_c_vanishing(20)
-        assert result.passed, result.detail
+        table = qlocal.brute_c_table(12, 1000, verify.C_TABLE_SAMPLES)
+        assert_passes(verify.check_c_table(table), "all 0 <= r <= n <= 12, 3 samples each")
+        assert_passes(verify.check_c_vanishing(), "n <= 20")
         assert time.monotonic() - started < 60
 
 
 def test_criterion_2_recursions():
     with criterion(2, "subset-sum recursions and symmetry, closed n <= 20, brute n <= 12"):
         started = time.monotonic()
-        result = verify.check_c_recursions(qlocal.brute_c_table(12, 2000), 20)
-        assert result.passed, result.detail
+        assert_passes(verify.check_c_recursions(qlocal.brute_c_table(12, 2000)),
+                      "closed form to n = 20, brute force to n = 12")
         assert time.monotonic() - started < 60
 
 
@@ -90,17 +96,15 @@ def test_criterion_4_equal_rank_volumes():
 
 def test_criterion_5_cross_formula_consistency():
     with criterion(5, "five-factor route, duality sign, and flag identity"):
-        result = verify.check_cross_formula(volume_table(6))
-        assert result.passed, result.detail
-        result = verify.check_flag_identity(8)
-        assert result.passed, result.detail
+        assert_passes(verify.check_cross_formula(volume_table(6)), "exhaustive m,n <= 6")
+        assert_passes(verify.check_flag_identity(), "exhaustive a <= b <= c <= 8")
 
 
 def test_criterion_6_gl_localization():
     with criterion(6, "localization sum is the Gaussian binomial at seeded t, n <= 10"):
         # the parameter vectors of size n come from seed 3000 + n
-        result = verify.check_gl_localization(10, seed=2000)
-        assert result.passed, result.detail
+        assert_passes(verify.check_gl_localization(10, seed=2000),
+                      "n <= 10, 3 samples, seeded t = p/q")
 
 
 def test_criterion_7_pfaffian_suite():
@@ -126,27 +130,24 @@ def test_criterion_7_pfaffian_suite():
 
 def test_criterion_8_defect_table():
     with criterion(8, "defects: gl table m,n <= 4 and the defect-one families"):
-        result = verify.check_defect_table(gl_systems(4))
-        assert result.passed, result.detail
+        assert_passes(verify.check_defect_table(gl_systems(4)),
+                      "gl up to rank 4 plus defect-one families")
 
 
 def test_criterion_9_casimir_positivity():
     with criterion(9, "rho coefficients and Casimir positivity on >= 100 points"):
-        result = verify.check_rho_coefficients(6)
-        assert result.passed, result.detail
-        result = verify.check_casimir_positivity(100)
-        assert result.passed, result.detail
+        assert_passes(verify.check_rho_coefficients(),
+                      "osp grid 0 <= m < n <= 6 plus fixed pairs")
+        assert_passes(verify.check_casimir_positivity(), ">= 100 dominant points per pair")
 
 
 def test_criterion_10_d21a_weights():
     with criterion(10, "principal-block weight restriction test, l <= 100"):
-        result = verify.check_d21a_weights(100)
-        assert result.passed, result.detail
+        assert_passes(verify.check_d21a_weights(), "l <= 100")
 
 
 def test_criterion_11_splitting_chains():
     with criterion(11, "chains validate and predicates agree with volumes"):
-        result = verify.check_chains(5, 10)
-        assert result.passed, result.detail
-        result = verify.check_predicate_agreement(volume_table(6), 20)
-        assert result.passed, result.detail
+        assert_passes(verify.check_chains(5), "GL m,n <= 5, Q n <= 10")
+        assert_passes(verify.check_predicate_agreement(volume_table(6)),
+                      "GL m,n <= 6, Q n <= 20")

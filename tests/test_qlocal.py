@@ -143,19 +143,21 @@ def test_brute_force_matches_closed_form():
             assert c_bruteforce(r, n, vectors).consensus == c_closed(r, n)
 
 
-def test_recursion_cases_as_gaussian_binomials():
+def test_recursion_cases_as_gaussian_binomials(monkeypatch):
     # [n r]_t obeys q-Pascal and the symmetry [n r]_t = [n n-r]_t, so a
     # comparison with it covers both recursions of C(r, n)
     # the table r -> r holds at (1, 1) but breaks C(0, 0) = 1, which the
     # recursion at (1, 1) reads; r = 0 is the c-table check's range
     identity = {(r, n): r for n in range(2) for r in range(n + 1)}
     assert identity[(1, 1)] == gaussian_binomial(1, 1, -1)
-    assert verify.check_c_table(identity, samples=1).detail.endswith("first (0, 0)")
+    assert verify.check_c_table(identity).detail.endswith("first (0, 0)")
     # an empty range is not a pass
-    assert not verify.check_c_recursions(brute_c_table(1, 0), 0).passed
+    monkeypatch.setattr(verify, "CLOSED_FORM_MAX_N", 0)
+    assert not verify.check_c_recursions(brute_c_table(1, 0)).passed
     assert c_closed(2, 4) == gaussian_binomial(4, 2, -1) == 2
     broken = {**brute_c_table(4, 0), (2, 4): 0}
-    assert verify.check_c_recursions(broken, 4).detail.endswith("1 failures, first (2, 4)")
+    monkeypatch.setattr(verify, "CLOSED_FORM_MAX_N", 4)
+    assert verify.check_c_recursions(broken).detail.endswith("1 failures, first (2, 4)")
     for r, n in ((-1, 3), (4, 3)):
         with pytest.raises(ValueError):
             gaussian_binomial(n, r, -1)

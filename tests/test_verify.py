@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import re
@@ -97,10 +98,11 @@ def test_a_wrong_table_volume_fails_every_sweep_that_reads_it():
     assert verify.check_sdim_necessity(volumes).passed
 
 
-def test_sweeps_read_their_bounds_from_the_tables():
+def test_sweeps_read_their_bounds_from_the_tables(monkeypatch):
     assert verify.check_nonvanishing(volume_table(3)).detail.startswith(
         "exhaustive m,n <= 3; ")
-    assert verify.check_predicate_agreement(volume_table(1), 2).detail.startswith(
+    monkeypatch.setattr(verify, "CLOSED_FORM_MAX_N", 2)
+    assert verify.check_predicate_agreement(volume_table(1)).detail.startswith(
         "GL m,n <= 1, Q n <= 2; ")
     systems = {(m, n): rootsys.build_root_system("gl", m, n) for m, n in [(0, 1), (2, 1)]}
     assert verify.check_root_system_invariants(systems).detail.startswith("gl up to rank 2; ")
@@ -111,17 +113,17 @@ def test_sweeps_read_their_bounds_from_the_tables():
 
 
 def test_check_with_an_empty_part_fails():
-    result = verify.check_chains(-1, 10)
+    result = verify.check_chains(-1)
     assert not result.passed
     assert result.detail.endswith("0 failures; part 1 of 2 covered no case")
-    assert verify.check_chains(5, 10).passed
+    assert verify.check_chains(5).passed
 
 
 def test_broken_case_fails_and_is_named_first(monkeypatch):
     real = qlocal.c_closed
     monkeypatch.setattr(qlocal, "c_closed",
                         lambda r, n: 0 if (r, n) == (2, 4) else real(r, n))
-    result = verify.check_c_vanishing(20)
+    result = verify.check_c_vanishing()
     assert not result.passed
     assert result.detail == "n <= 20; 231 cases, 1 failures, first (2, 4)"
 
@@ -153,38 +155,54 @@ def test_localization_sweep_names_a_kernel_off_at_one_r(monkeypatch):
 def test_broken_brute_table_fails_the_recursion_check():
     table = qlocal.brute_c_table(12, 0)
     table[(3, 9)] += 1
-    result = verify.check_c_recursions(table, 20)
+    result = verify.check_c_recursions(table)
     assert not result.passed
     assert result.detail.endswith("; 288 cases, 1 failures, first (3, 9)")
 
 
-def test_c_checks_read_the_brute_bound_from_the_table():
+def test_c_checks_read_the_brute_bound_from_the_table(monkeypatch):
     # a table to n = 5 is checked to n = 5, not to a separately passed bound
-    result = verify.check_c_recursions(qlocal.brute_c_table(5, 1), 20)
+    result = verify.check_c_recursions(qlocal.brute_c_table(5, 1))
     assert result.passed
     assert result.detail.startswith("closed form to n = 20, brute force to n = 5; ")
-    result = verify.check_c_table(qlocal.brute_c_table(4, 1, 7), 7)
+    monkeypatch.setattr(verify, "C_TABLE_SAMPLES", 7)
+    result = verify.check_c_table(qlocal.brute_c_table(4, 1, 7))
     assert result.passed
     assert result.detail == "all 0 <= r <= n <= 4, 7 samples each; 15 cases, 0 failures"
 
 
 def test_run_all_gives_one_sample_count_to_table_and_check(monkeypatch):
+    # the table is built with the constant that check_c_table reports
     counts = []
-    real_table, real_check = qlocal.brute_c_table, verify.check_c_table
+    real_table = qlocal.brute_c_table
 
     # the table's count is recorded only when it is passed explicitly
     def table(nmax, seed, *count):
         counts.append(count)
         return real_table(nmax, seed, *count)
 
-    def check(c_table, samples):
-        counts.append((samples,))
-        return real_check(c_table, samples)
-
     monkeypatch.setattr(qlocal, "brute_c_table", table)
-    monkeypatch.setattr(verify, "check_c_table", check)
     verify.run_all(seed=1, max_n_grass=1, max_n_c=2)
-    assert counts == [(verify.C_TABLE_SAMPLES,)] * 2
+    assert counts == [(verify.C_TABLE_SAMPLES,)]
+
+
+def test_checks_have_no_default_valued_parameter():
+    # every scope is a module constant or follows a run_all bound
+    names = [name for name in dir(verify) if name.startswith("check_")]
+    assert len(names) == 20
+    for name in names:
+        parameters = inspect.signature(getattr(verify, name)).parameters.values()
+        assert all(p.default is p.empty for p in parameters), name
+
+
+def test_cli_verify_defaults_are_run_all_defaults():
+    # the benchmark's probe calls run_all(seed=...) and the CLI passes its
+    # option defaults, so both must sweep the same bounds
+    args = cli.build_parser().parse_args(["verify"])
+    defaults = inspect.signature(verify.run_all).parameters
+    assert (args.max_n, args.max_n_c) == (6, 12)
+    assert defaults["max_n_grass"].default == args.max_n
+    assert defaults["max_n_c"].default == args.max_n_c
 
 
 def test_casimir_sweep_weights_are_the_fraction_combinations(monkeypatch):
@@ -209,7 +227,7 @@ def test_casimir_sweep_weights_are_the_fraction_combinations(monkeypatch):
     expected = []
     for pair in pairs:
         fund = sympair.fundamental_weights(pair)
-        for coeffs in verify._dominant_grid(pair.rank, 100):
+        for coeffs in verify._dominant_grid(pair.rank):
             expected.append((pair.name, tuple(
                 sum((c * w[i] for c, w in zip(coeffs, fund)), Fraction(0))
                 for i in range(pair.rank))))
