@@ -11,7 +11,7 @@ the principal-block weight test of the one-parameter family.
 import itertools
 from fractions import Fraction
 
-from supervol import builtin_pairs, casimir_eigenvalue, rho_coefficients
+from supervol import builtin_pairs, casimir_eigenvalue
 from supervol.sympair import d21a_in_a_star, d21a_weight, fundamental_weights
 
 
@@ -19,8 +19,8 @@ def main():
     pairs = builtin_pairs(1, 3)
     print("== rho in the simple-root basis ==")
     for pair in pairs:
-        coeffs, nonneg = rho_coefficients(pair)
-        print(f"{pair.name}: rho = {tuple(map(str, coeffs))}, all >= 0: {nonneg}")
+        nonneg = all(c >= 0 for c in pair.rho)
+        print(f"{pair.name}: rho = {tuple(map(str, pair.rho))}, all >= 0: {nonneg}")
 
     print("\n== Casimir eigenvalues on a few dominant weights ==")
     for pair in pairs:

@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "exactnum": ("alpha_diagonal", "alpha_pfaffian", "inertia", "pfaffian",
-                 "realified_diagonal_action", "realify"),
+                 "realified_diagonal_action"),
     "grassvol": ("GrassSpec", "SuperDim", "VolumeExpr", "check_flag_identity",
                  "dims", "duality_sign", "sdim", "volume", "volume_via_fibration"),
     "qlocal": ("LocalizationReport", "alpha_subset", "c_bruteforce", "c_closed",
@@ -29,7 +29,7 @@ _EXPORTS = {
                   "sdim_necessity"),
     "sympair": ("RestrictedPair", "builtin_pairs", "casimir_eigenvalue",
                 "d21a_in_a_star", "d21a_weight", "f31_pair", "g12_pair",
-                "osp_pair", "positivity_check", "rho_coefficients"),
+                "osp_pair", "positivity_check"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -25,11 +25,16 @@ from fractions import Fraction
 DEFAULT_SEED = 20240001
 # Largest accepted ``verify`` bounds.  The grassmannian sweeps grow as
 # max_n^4 (at 16 they add about 1 s to a run on a 2 vCPU Xeon); the
-# subset sums stop at qlocal's n <= 14.
+# subset sums stop at ``qlocal.MAX_N``, copied here so that parsing
+# imports no kernel module.
 MAX_N_GRASS = 16
 MAX_N_C = 14
-# Parameters each ``defect`` family takes; another count exits 2.
-DEFECT_PARAM_COUNTS = {"gl": 2, "sl": 2, "osp": 2, "d21a": 1, "g3": 0, "f4": 0}
+# Parameters each family of a verb takes; another count exits 2.
+PARAM_COUNTS = {
+    "defect": {"gl": 2, "sl": 2, "osp": 2, "d21a": 1, "g3": 0, "f4": 0},
+    "splitting": {"gl": 4, "q": 2},
+    "chain": {"GL": 2, "Q": 1},
+}
 
 
 def _emit(args, command: str, params: dict, result, rules: list[str], text: str):
@@ -41,16 +46,22 @@ def _emit(args, command: str, params: dict, result, rules: list[str], text: str)
         print(text)
 
 
+def _grass(args):
+    """The GrassSpec of a ``volume``, ``sdim`` or ``dims`` query, and its params."""
+    from . import grassvol
+
+    params = {"r": args.r, "s": args.s, "m": args.m, "n": args.n}
+    return grassvol.GrassSpec(**params), params
+
+
 def _cmd_volume(args):
     from . import grassvol
 
-    spec = grassvol.GrassSpec(args.r, args.s, args.m, args.n)
+    spec, params = _grass(args)
     vol = grassvol.volume(spec)
     rules = (["negative-superdimension-vanishing"] if vol.is_zero()
              else ["signed-binomial-volume-formula"])
-    _emit(args, "volume",
-          {"r": args.r, "s": args.s, "m": args.m, "n": args.n},
-          vol.to_payload(), rules, vol.render())
+    _emit(args, "volume", params, vol.to_payload(), rules, vol.render())
 
 
 def _cmd_qvolume(args):
@@ -77,19 +88,17 @@ def _cmd_qvolume(args):
 def _cmd_sdim(args):
     from . import grassvol
 
-    spec = grassvol.GrassSpec(args.r, args.s, args.m, args.n)
+    spec, params = _grass(args)
     value = grassvol.sdim(spec)
-    _emit(args, "sdim", {"r": args.r, "s": args.s, "m": args.m, "n": args.n},
-          value, ["superdimension-product-formula"], str(value))
+    _emit(args, "sdim", params, value, ["superdimension-product-formula"], str(value))
 
 
 def _cmd_dims(args):
     from . import grassvol
 
-    spec = grassvol.GrassSpec(args.r, args.s, args.m, args.n)
+    spec, params = _grass(args)
     d = grassvol.dims(spec)
-    _emit(args, "dims", {"r": args.r, "s": args.s, "m": args.m, "n": args.n},
-          {"even": d.even, "odd": d.odd}, ["dimension-formula"],
+    _emit(args, "dims", params, {"even": d.even, "odd": d.odd}, ["dimension-formula"],
           f"({d.even}|{d.odd})")
 
 
@@ -145,15 +154,15 @@ def _cmd_localize(args):
 def _cmd_splitting(args):
     from . import splitting
 
-    if args.kind == "gl":
-        check = splitting.is_splitting_levi_gl(args.r, args.s, args.m, args.n)
-        params = {"r": args.r, "s": args.s, "m": args.m, "n": args.n}
+    if args.family == "gl":
+        check = splitting.is_splitting_levi_gl(*args.params)
+        params = dict(zip(("r", "s", "m", "n"), args.params))
         rules = ["levi-splitting-iff-sdim-nonnegative"]
         text = (f"splitting: {check.ok} (sdim = {check.evidence})")
         result = {"splitting": check.ok, "sdim": check.evidence}
     else:
-        check = splitting.is_splitting_levi_q(args.r, args.n)
-        params = {"r": args.r, "n": args.n}
+        check = splitting.is_splitting_levi_q(*args.params)
+        params = dict(zip(("r", "n"), args.params))
         rules = ["levi-splitting-iff-parity-product-even"]
         text = f"splitting: {check.ok} (r(n-r) = {check.evidence})"
         result = {"splitting": check.ok, "parity_product": check.evidence}
@@ -269,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(arg, type=int)
 
     p = add("defect", _cmd_defect, "defect of a root system family")
-    p.add_argument("family", choices=tuple(DEFECT_PARAM_COUNTS))
+    p.add_argument("family", choices=tuple(PARAM_COUNTS["defect"]))
     p.add_argument("params", nargs="*",
                    help="family parameters, e.g. 'gl 2 3' or 'd21a 1/2'; "
                         "negative values go after '--', e.g. 'd21a -- -1/2'")
@@ -287,14 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("splitting", _cmd_splitting, "Levi splitting predicate")
-    p.add_argument("kind", choices=("gl", "q"))
-    p.add_argument("r", type=int)
-    p.add_argument("s_or_n", type=int)
-    p.add_argument("m", type=int, nargs="?")
-    p.add_argument("n", type=int, nargs="?")
+    p.add_argument("family", choices=tuple(PARAM_COUNTS["splitting"]))
+    p.add_argument("params", type=int, nargs="+", help="'gl r s m n' or 'q r n'")
 
     p = add("chain", _cmd_chain, "certified minimal splitting chain")
-    p.add_argument("family", type=str.upper, choices=("GL", "Q"))
+    p.add_argument("family", type=str.upper, choices=tuple(PARAM_COUNTS["chain"]))
     p.add_argument("params", type=int, nargs="+")
 
     p = add("casimir", _cmd_casimir, "Casimir eigenvalue for a built-in pair")
@@ -332,26 +338,13 @@ def _numbers(parser, tokens: list[str]) -> list:
 def _normalize_args(parser, args):
     """Resolve the positional arguments that argparse cannot; a wrong count
     or a malformed number is a usage error (exit 2)."""
-    if args.verb == "splitting":
-        if args.kind == "gl":
-            if args.m is None or args.n is None:
-                parser.error("splitting gl requires r s m n")
-            args.s = args.s_or_n
-        else:
-            if args.m is not None or args.n is not None:
-                parser.error("splitting q requires r n only")
-            args.n = args.s_or_n
-    elif args.verb == "defect":
-        count = DEFECT_PARAM_COUNTS[args.family]
+    if args.verb in PARAM_COUNTS:
+        count = PARAM_COUNTS[args.verb][args.family]
         if len(args.params) != count:
-            parser.error(f"defect {args.family} requires {count} parameter"
+            parser.error(f"{args.verb} {args.family} requires {count} parameter"
                          f"{'' if count == 1 else 's'}, got {len(args.params)}")
+    if args.verb == "defect":
         args.params = _numbers(parser, args.params)
-    elif args.verb == "chain":
-        if args.family == "GL" and len(args.params) != 2:
-            parser.error("chain GL requires m and n")
-        if args.family == "Q" and len(args.params) != 1:
-            parser.error("chain Q requires n")
     elif args.verb == "casimir":
         given = (args.m is not None, args.n is not None)
         if args.pair == "osp" and given != (True, True):

@@ -340,40 +340,23 @@ def alpha_diagonal(c: Sequence, d: Sequence) -> Fraction:
     return out
 
 
-def realify(zmat) -> Matrix:
-    """Realification of a complex matrix given as (re, im) pairs.
-
-    Each entry z = x + iy becomes the 2x2 block [[x, -y], [y, x]], so an
-    n x n complex matrix becomes a 2n x 2n rational one.  Transpose of
-    the result equals the realification of the conjugate transpose.
-    """
-    rows = list(zmat)
-    n = len(rows)
-    out = [[Fraction(0)] * (2 * len(rows[0]) if n else 0) for _ in range(2 * n)]
-    for i, row in enumerate(rows):
-        for j, (re, im) in enumerate(row):
-            re, im = as_fraction(re), as_fraction(im)
-            out[2 * i][2 * j] = re
-            out[2 * i][2 * j + 1] = -im
-            out[2 * i + 1][2 * j] = im
-            out[2 * i + 1][2 * j + 1] = re
-    return tuple(tuple(row) for row in out)
-
-
 def realified_diagonal_action(c: Sequence, d: Sequence) -> tuple[Matrix, Matrix]:
     """Blocks (q01, q10) of the realified diagonal model with weights c, d.
 
-    The complex action is q10 = (1+i) diag(d), q01 = (1+i) diag(c); both
-    blocks are returned realified, ready for :func:`alpha_pfaffian`.
+    The complex action is q10 = (1+i) diag(d), q01 = (1+i) diag(c); each
+    entry (1+i) x is returned as the real 2x2 block [[x, -x], [x, x]],
+    ready for :func:`alpha_pfaffian`.
     """
     n = len(c)
     if len(d) != n:
         raise ValueError("dimension mismatch")
 
-    def diag_pairs(vals):
-        return [
-            [(vals[i], vals[i]) if i == j else (0, 0) for j in range(n)]
-            for i in range(n)
-        ]
+    def realified(vals) -> Matrix:
+        out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+        for i, x in enumerate(vals):
+            x = as_fraction(x)
+            out[2 * i][2 * i], out[2 * i][2 * i + 1] = x, -x
+            out[2 * i + 1][2 * i], out[2 * i + 1][2 * i + 1] = x, x
+        return tuple(map(tuple, out))
 
-    return realify(diag_pairs(list(c))), realify(diag_pairs(list(d)))
+    return realified(c), realified(d)

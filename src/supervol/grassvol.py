@@ -67,11 +67,6 @@ def sdim(spec: GrassSpec) -> int:
     return (r - s) * ((m - r) - (n - s))
 
 
-def two_pi_exponent(spec: GrassSpec) -> int:
-    """Exponent of the 2pi prefactor of a nonzero volume: the odd dimension."""
-    return dims(spec).odd
-
-
 def _canonical_atoms(atoms) -> tuple[tuple[int, int, int], ...]:
     """Merge ``(a, b, e)`` entries in one pass: drop V(0, b) = V(b, b) = 1, rewrite
     V(a, b) = V(b-a, b) so that 2a <= b, validate each atom, sort the nonzero ones."""
@@ -175,24 +170,20 @@ def volume(spec: GrassSpec) -> VolumeExpr:
     sign = -1 if (s * (m + n + r + s)) % 2 else 1
     coeff = Fraction(sign * math.comb(n, s))
     atoms = ((r - s, m - n, 1),) if r > s else ()
-    return VolumeExpr.make(coeff, two_pi_exponent(spec), atoms)
+    return VolumeExpr.make(coeff, dims(spec).odd, atoms)
 
 
 def _equal_rank_volume(r: int, n: int) -> VolumeExpr:
-    """V(r|r, n|n) = binom(n,r) (2pi)^(2r(n-r))."""
-    if not 0 <= r <= n:
-        raise ValueError("require 0 <= r <= n")
+    """V(r|r, n|n) = binom(n,r) (2pi)^(2r(n-r)) for 0 <= r <= n."""
     return VolumeExpr.make(math.comb(n, r), 2 * r * (n - r))
 
 
 def _full_odd_rank_volume(k: int, big: int) -> VolumeExpr:
-    """V(k|k, M|k) = (-1)^(k(M-k)) (2pi)^(k(M-k)) for M >= k.
+    """V(k|k, M|k) = (-1)^(k(M-k)) (2pi)^(k(M-k)) for 0 <= k <= M.
 
     Obtained from the one-even-block volume (2pi)^(k(M-k)) through the
     complement duality sign.
     """
-    if not 0 <= k <= big:
-        raise ValueError("require 0 <= k <= M")
     e = k * (big - k)
     return VolumeExpr.make((-1) ** (e % 2), e)
 
@@ -209,6 +200,7 @@ def volume_via_fibration(spec: GrassSpec) -> VolumeExpr:
         raise ValueError("requires sdim >= 0 and r >= s")
     if spec.r == spec.s and spec.m < spec.n:
         spec = spec.swapped()
+    # now s <= r, s <= n <= m and n - s <= m - r: every factor is in range
     r, s, m, n = spec.r, spec.s, spec.m, spec.n
     sign = VolumeExpr.make((-1) ** (((r - s) * (n - s)) % 2))
     numerator = (

@@ -43,6 +43,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .exactnum import as_fraction, integer_scaled
 
 Params = tuple[Fraction, ...]
+MAX_N = 14  # largest n of a subset sum
 
 
 def validate_params(a: Sequence) -> Params:
@@ -150,8 +151,8 @@ def _fixed_point_sums(ks: Sequence[int], a: Params, t: Fraction) -> list[Fractio
 
 
 def _check_shape(n: int, vals: Params) -> None:
-    if n > 14:
-        raise ValueError("subset sums bounded at n <= 14")
+    if n > MAX_N:
+        raise ValueError(f"subset sums bounded at n <= {MAX_N}")
     if len(vals) != n:
         raise ValueError("parameter vector has wrong length")
 
@@ -240,10 +241,10 @@ def c_closed(r: int, n: int) -> int:
     return math.comb(n // 2, r // 2)
 
 
-def brute_c_table(nmax: int, seed: int, count: int = 3) -> dict[tuple[int, int], Fraction]:
-    """Consensus brute-force table for all 0 <= r <= n <= nmax: one pass per
-    parameter sample sums every r at once, and the samples must agree
-    exactly at every (r, n)."""
+def brute_c_table(nmax: int, seed: int, count: int) -> dict[tuple[int, int], Fraction]:
+    """Consensus brute-force table for all 0 <= r <= n <= nmax over ``count``
+    seeded parameter samples per n: one pass per sample sums every r at
+    once, and the samples must agree exactly at every (r, n)."""
     table = {}
     for n in range(nmax + 1):
         sums = _consensus([localization_sums(n, a, -1)

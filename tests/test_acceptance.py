@@ -67,7 +67,8 @@ def test_criterion_1_c_table():
 def test_criterion_2_recursions():
     with criterion(2, "subset-sum recursions and symmetry, closed n <= 20, brute n <= 12"):
         started = time.monotonic()
-        assert_passes(verify.check_c_recursions(qlocal.brute_c_table(12, 2000)),
+        table = qlocal.brute_c_table(12, 2000, verify.C_TABLE_SAMPLES)
+        assert_passes(verify.check_c_recursions(table),
                       "closed form to n = 20, brute force to n = 12")
         assert time.monotonic() - started < 60
 

@@ -135,7 +135,7 @@ def test_c_table():
 def test_c_table_brute_reaches_the_subset_sum_bound(monkeypatch):
     bounds = []
 
-    def record(nmax, seed, count=3):
+    def record(nmax, seed, count):
         bounds.append(nmax)
         return {}
 
@@ -143,6 +143,11 @@ def test_c_table_brute_reaches_the_subset_sum_bound(monkeypatch):
     assert main_json("c-table", "14", "--brute")["result"][-1] == {"brute_force_agrees": True}
     main_json("c-table", "16", "--brute")
     assert bounds == [14, cli.MAX_N_C]
+
+
+def test_cli_subset_sum_bound_is_qlocal_bound():
+    # cli keeps its own copy so that parsing imports no kernel module
+    assert cli.MAX_N_C == qlocal.MAX_N
 
 
 def test_localize():
@@ -427,6 +432,21 @@ def test_usage_error_exit_code(capsys):
         assert exc.value.code == 2, argv
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["splitting", "gl", "1", "1"], "splitting gl requires 4 parameters, got 2"),
+    (["splitting", "q", "1", "2", "3", "4"], "splitting q requires 2 parameters, got 4"),
+    (["chain", "GL", "3"], "chain GL requires 2 parameters, got 1"),
+    (["chain", "q", "1", "2"], "chain Q requires 1 parameter, got 2"),
+    (["defect", "d21a"], "defect d21a requires 1 parameter, got 0"),
+    (["defect", "gl", "2", "3", "4"], "defect gl requires 2 parameters, got 3"),
+], ids=" ".join)
+def test_wrong_parameter_count_names_verb_and_family(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["c-table", "-1"],
     ["c-table", "3", "--brute", "--samples", "0"],
@@ -455,7 +475,7 @@ def test_disagreement_exits_one(capsys, monkeypatch):
         report = real(r, n, samples)
         return report._replace(consensus=report.consensus + 1)
 
-    def table_off_by_one(nmax, seed, count=3):
+    def table_off_by_one(nmax, seed, count):
         return {case: value + 1 for case, value in real_table(nmax, seed, count).items()}
 
     monkeypatch.setattr(qlocal, "c_bruteforce", off_by_one)

@@ -14,7 +14,6 @@ from supervol.exactnum import (
     mat_mul,
     pfaffian,
     realified_diagonal_action,
-    realify,
     transpose,
 )
 
@@ -392,30 +391,16 @@ def test_alpha_multiplicative_over_direct_sums():
                 == alpha_pfaffian(q01a, q10a) * alpha_pfaffian(q01b, q10b))
 
 
-def test_realify_examples():
-    assert realify([[(0, 1)]]) == ((Fraction(0), Fraction(-1)),
-                                   (Fraction(1), Fraction(0)))
-    ident = [[(1, 0), (0, 0)], [(0, 0), (1, 0)]]
-    assert realify(ident) == tuple(
-        tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4))
-    assert realify([[(1, 1)]]) == ((Fraction(1), Fraction(-1)),
-                                   (Fraction(1), Fraction(1)))
-
-
-complex_entries = st.tuples(
-    st.integers(min_value=-6, max_value=6), st.integers(min_value=-6, max_value=6)
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=4).flatmap(
-    lambda n: st.lists(
-        st.lists(complex_entries, min_size=n, max_size=n), min_size=n, max_size=n)
-))
-def test_realify_transpose_is_conjugate_transpose(zmat):
-    n = len(zmat)
-    conj_t = [[(zmat[j][i][0], -zmat[j][i][1]) for j in range(n)] for i in range(n)]
-    assert transpose(realify(zmat)) == realify(conj_t)
+def test_realified_diagonal_action_literal_blocks():
+    # each (1+i) x becomes [[x, -x], [x, x]] on the diagonal (recorded values)
+    z, h = Fraction(0), Fraction(1, 2)
+    q01, q10 = realified_diagonal_action([1, h], [2, -3])
+    assert q01 == ((1, -1, z, z), (1, 1, z, z), (z, z, h, -h), (z, z, h, h))
+    assert q10 == ((2, -2, z, z), (2, 2, z, z), (z, z, -3, 3), (z, z, -3, -3))
+    assert all(type(x) is Fraction for block in (q01, q10) for row in block for x in row)
+    assert realified_diagonal_action([], []) == ((), ())
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        realified_diagonal_action([1], [1, 2])
 
 
 def test_float_input_rejected():

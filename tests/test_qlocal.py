@@ -153,9 +153,9 @@ def test_recursion_cases_as_gaussian_binomials(monkeypatch):
     assert verify.check_c_table(identity).detail.endswith("first (0, 0)")
     # an empty range is not a pass
     monkeypatch.setattr(verify, "CLOSED_FORM_MAX_N", 0)
-    assert not verify.check_c_recursions(brute_c_table(1, 0)).passed
+    assert not verify.check_c_recursions(brute_c_table(1, 0, 3)).passed
     assert c_closed(2, 4) == gaussian_binomial(4, 2, -1) == 2
-    broken = {**brute_c_table(4, 0), (2, 4): 0}
+    broken = {**brute_c_table(4, 0, 3), (2, 4): 0}
     monkeypatch.setattr(verify, "CLOSED_FORM_MAX_N", 4)
     assert verify.check_c_recursions(broken).detail.endswith("1 failures, first (2, 4)")
     for r, n in ((-1, 3), (4, 3)):
@@ -172,7 +172,7 @@ def test_recursion_cases_as_gaussian_binomials(monkeypatch):
 
 
 def test_brute_table_is_gaussian_binomial_at_minus_one():
-    table = brute_c_table(6, 7)
+    table = brute_c_table(6, 7, 3)
     assert all(table[(r, n)] == gaussian_binomial(n, r, -1)
                for n in range(1, 7) for r in range(1, n + 1))
 
@@ -221,13 +221,13 @@ def test_brute_table_raises_on_parameter_dependence(monkeypatch):
         return sums
 
     monkeypatch.setattr(qlocal, "_fixed_point_sums", sample_dependent)
-    assert brute_c_table(4, 0) == {(r, n): c_closed(r, n) for n in range(5) for r in range(n + 1)}
+    assert brute_c_table(4, 0, 3) == {(r, n): c_closed(r, n) for n in range(5) for r in range(n + 1)}
     with pytest.raises(ValueError, match="parameter dependence detected"):
-        brute_c_table(5, 0)
+        brute_c_table(5, 0, 3)
 
 
 def test_brute_table_errors():
-    assert brute_c_table(-1, 0) == {}
+    assert brute_c_table(-1, 0, 3) == {}
     with pytest.raises(ValueError, match="at least one"):
         brute_c_table(3, 0, 0)
     with pytest.raises(ValueError, match="bounded at n <= 14"):

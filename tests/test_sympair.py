@@ -14,16 +14,14 @@ from supervol.sympair import (
     gram_positive_definite,
     osp_pair,
     positivity_check,
-    rho_coefficients,
 )
 
 
 def test_builtin_pairs_rho_values():
     pairs = builtin_pairs(1, 3)
-    assert rho_coefficients(pairs[0])[0] == (Fraction(1),)
-    assert rho_coefficients(pairs[1])[0] == (Fraction(1), Fraction(1))
-    assert rho_coefficients(pairs[2])[0] == (Fraction(1), Fraction(2), Fraction(3))
-    assert all(rho_coefficients(p)[1] for p in pairs)
+    assert pairs[0].rho == (Fraction(1),)
+    assert pairs[1].rho == (Fraction(1), Fraction(1))
+    assert pairs[2].rho == (Fraction(1), Fraction(2), Fraction(3))
 
 
 def test_osp_pair_requires_n_greater_than_m():
@@ -36,13 +34,19 @@ def test_osp_pair_requires_n_greater_than_m():
 
 
 def test_rho_coefficients_osp_grid():
-    assert rho_coefficients(osp_pair(2, 5))[0] == (Fraction(2),)
-    boundary = rho_coefficients(osp_pair(2, 3))
-    assert boundary[0] == (Fraction(0),) and boundary[1]
+    assert osp_pair(2, 5).rho == (Fraction(2),)
+    assert osp_pair(2, 3).rho == (Fraction(0),)
     for m in range(6):
         for n in range(m + 1, 7):
-            coeffs, nonneg = rho_coefficients(osp_pair(m, n))
-            assert coeffs == (Fraction(n - m - 1),) and nonneg
+            assert osp_pair(m, n).rho == (Fraction(n - m - 1),)
+
+
+def test_pair_rejects_negative_rho():
+    with pytest.raises(ValueError, match="negative rho coefficient"):
+        sympair._pair("bad", [[2]], [-1], [])
+    with pytest.raises(ValueError, match="negative rho coefficient"):
+        sympair._pair("bad", [[6, -3], [-3, 2]], [1, Fraction(-1, 2)], [3])
+    assert sympair._pair("zero", [[2]], [0], []).rho == (Fraction(0),)
 
 
 def test_length_ratios_match_gram():
@@ -132,7 +136,7 @@ def test_positivity_check_examples():
     assert positivity_check(f31_pair(), (1, 1, 1))
     # boundary: rho = 0 still gives a positive value through (a, a) > 0
     boundary = osp_pair(2, 3)
-    assert rho_coefficients(boundary)[0] == (Fraction(0),)
+    assert boundary.rho == (Fraction(0),)
     assert positivity_check(boundary, (1,))
     with pytest.raises(ValueError, match="excluded by hypothesis"):
         positivity_check(boundary, (0,))

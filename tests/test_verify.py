@@ -153,7 +153,7 @@ def test_localization_sweep_names_a_kernel_off_at_one_r(monkeypatch):
 
 
 def test_broken_brute_table_fails_the_recursion_check():
-    table = qlocal.brute_c_table(12, 0)
+    table = qlocal.brute_c_table(12, 0, 3)
     table[(3, 9)] += 1
     result = verify.check_c_recursions(table)
     assert not result.passed
@@ -162,7 +162,7 @@ def test_broken_brute_table_fails_the_recursion_check():
 
 def test_c_checks_read_the_brute_bound_from_the_table(monkeypatch):
     # a table to n = 5 is checked to n = 5, not to a separately passed bound
-    result = verify.check_c_recursions(qlocal.brute_c_table(5, 1))
+    result = verify.check_c_recursions(qlocal.brute_c_table(5, 1, 3))
     assert result.passed
     assert result.detail.startswith("closed form to n = 20, brute force to n = 5; ")
     monkeypatch.setattr(verify, "C_TABLE_SAMPLES", 7)
@@ -176,14 +176,13 @@ def test_run_all_gives_one_sample_count_to_table_and_check(monkeypatch):
     counts = []
     real_table = qlocal.brute_c_table
 
-    # the table's count is recorded only when it is passed explicitly
-    def table(nmax, seed, *count):
+    def table(nmax, seed, count):
         counts.append(count)
-        return real_table(nmax, seed, *count)
+        return real_table(nmax, seed, count)
 
     monkeypatch.setattr(qlocal, "brute_c_table", table)
     verify.run_all(seed=1, max_n_grass=1, max_n_c=2)
-    assert counts == [(verify.C_TABLE_SAMPLES,)]
+    assert counts == [verify.C_TABLE_SAMPLES]
 
 
 def test_checks_have_no_default_valued_parameter():
@@ -205,6 +204,15 @@ def test_cli_verify_defaults_are_run_all_defaults():
     assert defaults["max_n_c"].default == args.max_n_c
 
 
+def test_dominant_grid_has_the_points_the_scope_names():
+    # "casimir-positive-on-dominant-weights" claims >= CASIMIR_POINTS per pair
+    for rank in (1, 2, 3):
+        grid = verify._dominant_grid(rank)
+        assert len(grid) >= verify.CASIMIR_POINTS, rank
+        assert len(set(grid)) == len(grid)
+        assert all(len(t) == rank and any(t) and min(t) >= 0 for t in grid)
+
+
 def test_casimir_sweep_weights_are_the_fraction_combinations(monkeypatch):
     # positivity cannot see a positive rescaling of a dominant weight, so
     # the weights themselves, integers over one denominator, are compared
@@ -222,7 +230,7 @@ def test_casimir_sweep_weights_are_the_fraction_combinations(monkeypatch):
 
     monkeypatch.setattr(sympair, "positivity_checks", record)
     result = verify.check_casimir_positivity()
-    assert result.passed and "1760 cases, 0 failures" in result.detail
+    assert result.passed and "1755 cases, 0 failures" in result.detail
     pairs = sympair.builtin_pairs(1, 3) + [sympair.osp_pair(2, 3), sympair.osp_pair(2, 5)]
     expected = []
     for pair in pairs:
