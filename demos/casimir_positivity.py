@@ -11,8 +11,8 @@ the principal-block weight test of the one-parameter family.
 import itertools
 from fractions import Fraction
 
-from supervol import builtin_pairs, casimir_eigenvalue
-from supervol.sympair import d21a_in_a_star, d21a_weight, fundamental_weights
+from supervol.sympair import (builtin_pairs, casimir_eigenvalue, d21a_in_a_star,
+                              d21a_weight, fundamental_weights)
 
 
 def main():

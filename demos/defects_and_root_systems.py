@@ -10,8 +10,9 @@ so reaching it certifies the answer as maximal.
 
 from fractions import Fraction
 
-from supervol import (build_root_system, defect, defect_subgroup_roots,
-                      isotropic_roots, witt_index)
+from supervol.exactnum import form
+from supervol.rootsys import (build_root_system, defect, defect_subgroup_roots,
+                              isotropic_roots, witt_index)
 
 
 def pretty(coords):
@@ -42,7 +43,6 @@ def main():
         print(f"defect {label} = {defect(system)} (Witt index {witt_index(system)})")
 
     print("\n== the one-parameter family keeps all 8 odd roots isotropic ==")
-    from supervol.exactnum import form
     for alpha in (Fraction(1), Fraction(2, 7), Fraction(-5)):
         system = build_root_system("d21a", alpha)
         odd = [r for r in system.roots if r.parity == "odd"]

@@ -11,9 +11,8 @@ the value of the t-deformed sum.
 
 from fractions import Fraction
 
-from supervol import (alpha_subset, c_bruteforce, c_closed, gaussian_binomial,
-                      gl_localization, localization_sum)
-from supervol.qlocal import seeded_param_vectors
+from supervol.qlocal import (alpha_subset, c_bruteforce, c_closed, gaussian_binomial,
+                             gl_localization, localization_sum, seeded_param_vectors)
 
 
 def main():

@@ -7,7 +7,7 @@ of certified inclusions carry recomputable evidence down to the
 conjecturally minimal splitting subgroup.
 """
 
-from supervol import GL, Q, is_splitting_levi_gl, is_splitting_levi_q, minimal_chain
+from supervol.splitting import GL, Q, is_splitting_levi_gl, is_splitting_levi_q, minimal_chain
 
 
 def show_chain(chain):

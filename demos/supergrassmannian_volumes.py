@@ -7,8 +7,8 @@ formal symbol 2pi times an opaque classical volume atom V(a, b).  It
 vanishes exactly when the superdimension is negative.
 """
 
-from supervol import GrassSpec, VolumeExpr, dims, sdim, volume, volume_via_fibration
-from supervol.grassvol import check_flag_identity, duality_sign
+from supervol.grassvol import (GrassSpec, VolumeExpr, check_flag_identity, dims,
+                               duality_sign, sdim, volume, volume_via_fibration)
 
 
 def main():

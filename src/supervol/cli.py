@@ -68,7 +68,7 @@ def _cmd_qvolume(args):
     from . import grassvol, qlocal
 
     c = qlocal.c_closed(args.r, args.n)
-    vol = grassvol.VolumeExpr.make(c, 2 * args.r * (args.n - args.r) if c else 0)
+    vol = grassvol.VolumeExpr.make(c, 2 * args.r * (args.n - args.r))
     rules = ["q-grassmannian-subset-sum-closed-form"]
     params = {"r": args.r, "n": args.n}
     result = {"c": str(c), "volume": vol.to_payload()}
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(arg, type=int)
 
     p = add("defect", _cmd_defect, "defect of a root system family")
-    p.add_argument("family", choices=tuple(PARAM_COUNTS["defect"]))
+    p.add_argument("family", type=str.lower, choices=tuple(PARAM_COUNTS["defect"]))
     p.add_argument("params", nargs="*",
                    help="family parameters, e.g. 'gl 2 3' or 'd21a 1/2'; "
                         "negative values go after '--', e.g. 'd21a -- -1/2'")
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("splitting", _cmd_splitting, "Levi splitting predicate")
-    p.add_argument("family", choices=tuple(PARAM_COUNTS["splitting"]))
+    p.add_argument("family", type=str.lower, choices=tuple(PARAM_COUNTS["splitting"]))
     p.add_argument("params", type=int, nargs="+", help="'gl r s m n' or 'q r n'")
 
     p = add("chain", _cmd_chain, "certified minimal splitting chain")
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", type=int, nargs="+")
 
     p = add("casimir", _cmd_casimir, "Casimir eigenvalue for a built-in pair")
-    p.add_argument("pair", choices=("osp", "g12", "f31"))
+    p.add_argument("pair", type=str.lower, choices=("osp", "g12", "f31"))
     p.add_argument("weight", help="comma-separated rational coefficients")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)

@@ -50,10 +50,6 @@ class RootSystem(NamedTuple):
     gram: tuple[tuple[Fraction, ...], ...]
     roots: tuple[Root, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.gram)
-
 
 def _vec(coords) -> tuple[Fraction, ...]:
     return tuple(as_fraction(c) for c in coords)

@@ -45,13 +45,11 @@ class RestrictedPair(NamedTuple):
     def rank(self) -> int:
         return len(self.gram)
 
-    def inner(self, v, w) -> Fraction:
-        return form(self.gram, v, w)
-
     def is_dominant(self, v) -> bool:
         """Whether (v, alpha_j) >= 0 for every simple root alpha_j."""
         k = self.rank
-        return all(self.inner(v, [int(i == j) for i in range(k)]) >= 0 for j in range(k))
+        return all(form(self.gram, v, [int(i == j) for i in range(k)]) >= 0
+                   for j in range(k))
 
 
 def _pair(name, gram_rows, rho_coeffs, ratios) -> RestrictedPair:

@@ -183,6 +183,19 @@ def test_casimir():
     assert envelope["result"]["positive"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["splitting", "GL", "1", "1", "3", "2"],
+    ["defect", "Gl", "2", "2"],
+    ["casimir", "G12", "1,0"],
+], ids=" ".join)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_family_names_are_case_insensitive(capsys, argv, fmt):
+    verb, family, *rest = argv
+    lower = run_cli(capsys, verb, family.lower(), *rest, "--format", fmt)
+    assert lower[0] == 0
+    assert run_cli(capsys, verb, family, *rest, "--format", fmt) == lower
+
+
 def test_casimir_computes_the_eigenvalue_once(capsys, monkeypatch):
     calls = []
     real = sympair.casimir_eigenvalue

@@ -3,15 +3,12 @@
 Every case runs in a fresh interpreter, since ``sys.modules`` only grows.
 """
 
-import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-import supervol
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -67,17 +64,3 @@ def test_import_supervol_loads_no_submodule():
     assert "supervol" in modules
     assert not {m for m in modules if m.startswith("supervol.")}
 
-
-def test_every_public_name_resolves():
-    for name in supervol.__all__:
-        value = getattr(supervol, name)
-        module = importlib.import_module(f"supervol.{supervol._MODULE_OF[name]}")
-        assert value is getattr(module, name), name
-    assert set(supervol.__all__) <= set(dir(supervol))
-    from supervol import GrassSpec  # noqa: F401
-
-
-@pytest.mark.parametrize("name", ["no_such_name", "Rational"])
-def test_unknown_attribute_raises(name):
-    with pytest.raises(AttributeError, match=name):
-        getattr(supervol, name)

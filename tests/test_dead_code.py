@@ -2,8 +2,11 @@
 
 A name counts as used when an AST ``Name``, ``Attribute`` or import alias
 in ``src/``, ``demos/`` or ``perfbench/`` mentions it; tests do not count.
-The AST also sees uses that a search for ``def`` names misses, such as a
-method reached through an attribute of another name.
+A def directly in a class body is a member, reached only as an attribute,
+so only an ``Attribute`` counts for it: a local variable of the same name
+does not hide an unread member. The AST also sees uses that a search for
+``def`` names misses, such as a method reached through an attribute of
+another name.
 """
 
 import ast
@@ -23,37 +26,40 @@ def _trees(*dirs):
 
 
 def _definitions():
-    """(path, qualified name, bare name) of every def and class in the package."""
+    """(path, qualified name, bare name, is a class member) of every def and
+    class in the package."""
     for path, tree in _trees(PACKAGE.relative_to(ROOT)):
-        stack = [(tree, "")]
+        stack = [(tree, "", False)]
         while stack:
-            node, prefix = stack.pop()
+            node, prefix, in_class = stack.pop()
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     qualified = prefix + child.name
-                    yield path, qualified, child.name
-                    stack.append((child, qualified + "."))
+                    yield path, qualified, child.name, in_class
+                    stack.append((child, qualified + ".", isinstance(child, ast.ClassDef)))
                 else:
-                    stack.append((child, prefix))
+                    stack.append((child, prefix, in_class))
 
 
 def _references():
-    names = set()
+    """(every referenced name, the names referenced as attributes)."""
+    names, attributes = set(), set()
     for _, tree in _trees("src", "demos", "perfbench"):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name.rsplit(".", 1)[-1])
-    return names
+    return names | attributes, attributes
 
 
 def test_every_definition_is_referenced():
-    used = _references()
+    used, attributes = _references()
     unused = [f"{path.relative_to(ROOT)}: {qualified}"
-              for path, qualified, name in _definitions()
+              for path, qualified, name, in_class in _definitions()
               if not (name.startswith("__") and name.endswith("__"))
-              and qualified not in CALLED_IMPLICITLY and name not in used]
+              and qualified not in CALLED_IMPLICITLY
+              and name not in (attributes if in_class else used)]
     assert not unused, unused

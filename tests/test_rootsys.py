@@ -331,7 +331,7 @@ def test_form_on_integers_matches_fraction_evaluation():
     rng = random.Random(41)
     for family, params in (("gl", (3, 2)), ("g3", ()), ("f4", ()), ("osp", (5, 4))):
         system = build_root_system(family, *params)
-        dim = system.dim
+        dim = len(system.gram)
         int_gram = [[int(x) for x in row] for row in system.gram]
         for _ in range(20):
             v = [rng.randint(-3, 3) for _ in range(dim)]

@@ -161,6 +161,14 @@ def test_chain_validation_catches_tampering():
         assert not forged.validate()
         assert not splitting.SubgroupChain(sup, (forged,)).validate()
 
+    # nor can a Q Levi step with r(n-r) odd, whether its evidence states
+    # that product or claims an even one
+    for parity_product in (1, 2):
+        forged = ChainStep(Q(1) * Q(1), Q(2), RULE_LEVI_Q,
+                           {"r": 1, "n": 2, "parity_product": parity_product})
+        assert not forged.validate()
+        assert not splitting.SubgroupChain(Q(2), (forged,)).validate()
+
 
 def test_sdim_necessity_examples():
     assert sdim_necessity((5, 5), (5, 5))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from supervol import sympair
+from supervol.exactnum import form
 from supervol.sympair import (
     builtin_pairs,
     casimir_eigenvalue,
@@ -52,11 +53,11 @@ def test_pair_rejects_negative_rho():
 def test_length_ratios_match_gram():
     g12 = g12_pair()
     a1, a2 = (1, 0), (0, 1)
-    assert g12.inner(a1, a1) == 3 * g12.inner(a2, a2)
+    assert form(g12.gram, a1, a1) == 3 * form(g12.gram, a2, a2)
     f31 = f31_pair()
     a1, a2, a3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    assert f31.inner(a1, a1) / f31.inner(a2, a2) == Fraction(3, 8)
-    assert f31.inner(a2, a2) / f31.inner(a3, a3) == 2
+    assert form(f31.gram, a1, a1) / form(f31.gram, a2, a2) == Fraction(3, 8)
+    assert form(f31.gram, a2, a2) / form(f31.gram, a3, a3) == 2
 
 
 def test_gram_matrices_positive_definite():
@@ -67,19 +68,19 @@ def test_gram_matrices_positive_definite():
 def test_inner_examples():
     f31 = f31_pair()
     with pytest.raises(ValueError, match="dimension"):
-        f31.inner((1, 0), (1, 0, 0))
+        form(f31.gram, (1, 0), (1, 0, 0))
     with pytest.raises(ValueError, match="dimension"):
-        f31.inner((1, 0, 0), (1, 0, 0, 0))
+        form(f31.gram, (1, 0, 0), (1, 0, 0, 0))
     with pytest.raises(TypeError, match="exact"):
-        f31.inner((1, 0, 0.5), (1, 0, 0))
+        form(f31.gram, (1, 0, 0.5), (1, 0, 0))
     with pytest.raises(TypeError, match="exact"):
-        f31.inner((1, 0, 0), (0, 1.0, 0))
+        form(f31.gram, (1, 0, 0), (0, 1.0, 0))
     # zero coordinates are skipped; the value is the dense sum
     for v, w in (((1, 0, 0), (0, 1, 0)), ((0, 2, 0), (1, 0, 3)),
                  ((Fraction(1, 2), 0, -1), (0, 0, 0)), ((3, -1, 2), (1, 1, Fraction(-1, 3)))):
         dense = sum(Fraction(v[i]) * f31.gram[i][j] * w[j]
                     for i in range(3) for j in range(3))
-        assert f31.inner(v, w) == dense
+        assert form(f31.gram, v, w) == dense
 
 
 def test_casimir_eigenvalue_examples():
@@ -88,12 +89,12 @@ def test_casimir_eigenvalue_examples():
     assert casimir_eigenvalue(g12, zero) == 0
     # (a1 + 2 rho, a1) computed by hand from the Gram matrix
     a1 = (1, 0)
-    expected = g12.inner(a1, a1) + 2 * g12.inner(g12.rho, a1)
+    expected = form(g12.gram, a1, a1) + 2 * form(g12.gram, g12.rho, a1)
     assert casimir_eigenvalue(g12, a1) == expected == 12
 
     pair = osp_pair(1, 3)
     alpha = (1,)
-    assert casimir_eigenvalue(pair, alpha) == 3 * pair.inner(alpha, alpha)
+    assert casimir_eigenvalue(pair, alpha) == 3 * form(pair.gram, alpha, alpha)
 
 
 def test_casimir_eigenvalue_literal_values():
@@ -166,7 +167,7 @@ def test_fundamental_weights_are_dual_basis():
         fund = fundamental_weights(pair)
         for i, w in enumerate(fund):
             for j, a in enumerate(_coordinate_vectors(pair.rank)):
-                assert pair.inner(w, a) == (1 if i == j else 0)
+                assert form(pair.gram, w, a) == (1 if i == j else 0)
             assert pair.is_dominant(w)
             assert not pair.is_dominant(tuple(-x for x in w))
     singular = sympair.RestrictedPair("singular", ((Fraction(1), Fraction(1)),
