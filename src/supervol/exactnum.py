@@ -13,8 +13,9 @@ only.  One Bareiss elimination serves ``rank`` and ``det``, and its skew
 analogue serves ``pfaffian``.  ``mat_mul`` scales each operand to integers
 once, takes integer dot products and makes one ``Fraction`` per entry.
 Symmetric congruence elimination over ``Fraction`` gives the inertia of a
-quadratic form.  ``form`` is the one evaluation of a bilinear form
-v^T * G * w.
+quadratic form.  ``sparse_form`` is the one evaluation of a bilinear
+form v^T * G * w, on the supports of v and w; ``form`` is its validating
+boundary, as ``det`` is for ``_det``.
 
 The fixed-point invariant of an odd isomorphism acting on a (2n|2n)-
 dimensional space is computed two ways:
@@ -102,6 +103,18 @@ def mat_mul(a, b) -> Matrix:
     return tuple(tuple(Fraction(x, d) for x in row) for row in _mat_mul(ai, bi))
 
 
+def sparse_form(gram, v, w) -> int | Fraction:
+    """The bilinear form v^T * gram * w on the supports of v and w: their
+    nonzero coordinates as pairs (i, x), unchecked, so the cost is
+    |v| * |w| products whatever the dimension."""
+    total = 0
+    for i, x in v:
+        row = gram[i]
+        for j, y in w:
+            total += x * row[j] * y
+    return total
+
+
 def form(gram, v, w) -> int | Fraction:
     """The bilinear form v^T * gram * w in exact arithmetic.
 
@@ -109,19 +122,16 @@ def form(gram, v, w) -> int | Fraction:
     coordinates of ``v`` and ``w`` stay ``int`` and every other coordinate
     passes through :func:`as_fraction`, so all-integer input gives an
     ``int`` and any ``Fraction`` gives a ``Fraction`` (or ``0`` when ``v``
-    or ``w`` is zero).  Zero coordinates are skipped, so a sparse vector
-    costs only its support.
+    or ``w`` is zero).  The coordinates are checked here and their
+    supports handed to :func:`sparse_form`, so a sparse vector costs only
+    its support.
     """
     vv = [x if isinstance(x, int) else as_fraction(x) for x in v]
     ww = [x if isinstance(x, int) else as_fraction(x) for x in w]
     if len(vv) != len(gram) or len(ww) != len(gram):
         raise ValueError("dimension mismatch")
-    support = [(j, y) for j, y in enumerate(ww) if y]
-    total = 0
-    for x, row in zip(vv, gram):
-        if x:
-            total += x * sum(row[j] * y for j, y in support)
-    return total
+    return sparse_form(gram, [(i, x) for i, x in enumerate(vv) if x],
+                       [(j, y) for j, y in enumerate(ww) if y])
 
 
 def _echelon(m: Matrix) -> tuple[int, int, int]:
@@ -286,8 +296,8 @@ def inertia(sym) -> tuple[int, int, int]:
         idx.remove(piv)
         row_p = a[piv]
         for p, i in enumerate(idx):
-            f = a[i][piv] / d
-            if f:
+            if a[i][piv]:
+                f = a[i][piv] / d
                 row_i = a[i]
                 for j in idx[p:]:
                     row_i[j] -= f * row_p[j]

@@ -24,15 +24,18 @@ integer numerator over one common denominator q^(r(n-r)) D, with
 D = prod_{i<j} (b_i - b_j).  Times D, the term of a fixed point S is a
 product over the pairs i < j of one pair factor chosen by the sides of i
 and j, so no term needs a division.  The kernel cuts the positions into
-two halves, tabulates each half's products once, and forms and adds the
-term of every one of the binom(n, r) fixed points in C; the sums are
-exact and bounded at n <= 14.  Parameters are validated and scaled to
+two halves, tabulates the low half's products once, and walks the high
+half depth first with one running product per low row, so a product
+shared by many terms is formed once; the term of every one of the
+binom(n, r) fixed points is still formed and added exactly, and the sums
+are bounded at n <= 14.  Parameters are validated and scaled to
 integers once per vector, at the public boundary: ``localization_sum``
 sums one r, and ``localization_sums`` every r in one pass.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -92,20 +95,19 @@ def _pair_factor(bi: int, bx: int, i_in: int, x_in: int, p: int, q: int) -> int:
     return q * bi - p * bx if i_in else p * bi - q * bx
 
 
-def _half(f: list, start: int, stop: int, lo: int, hi: int) -> list:
-    """(count, sides, own, cross) for each side vector of the positions
-    start..stop-1, side 1 meaning in S, whose count in S is at most hi and,
-    with every position of the half still to come put in S, at least lo:
-    own is the product of the pair factors inside, and cross[2 (x - stop) + s]
-    that of the factors with a later position x on side s."""
+def _half(f: list, stop: int, lo: int, hi: int) -> list:
+    """(count, own, cross) for each side vector of the positions 0..stop-1,
+    side 1 meaning in S, whose count in S is at most hi and, with every
+    position of the half still to come put in S, at least lo: own is the
+    product of the pair factors inside, and cross[2 (x - stop) + s] that of
+    the factors with a later position x on side s."""
     # lists: a tuple built from an iterator is resized to its length, which
     # leaves CPython's per-size tuple free lists holding memory across calls
-    states = [(0, (), 1, [1] * 2 * (len(f) - start))]
-    for i in range(start, stop):
+    states = [(0, 1, [1] * 2 * len(f))]
+    for i in range(stop):
         least = lo - (stop - 1 - i)
-        states = [(count + s, sides + (s,), own * cross[s],
-                   list(map(operator.mul, cross[2:], f[i][s])))
-                  for count, sides, own, cross in states for s in (0, 1)
+        states = [(count + s, own * cross[s], list(map(operator.mul, cross[2:], f[i][s])))
+                  for count, own, cross in states for s in (0, 1)
                   if least <= count + s <= hi]
     return states
 
@@ -117,36 +119,60 @@ def _fixed_point_sums(ks: Sequence[int], a: Params, t: Fraction) -> list[Fractio
     pair factors over the one denominator q^(k(n-k)) D.  The positions split
     into a low half L = {0..h-1}, h = n // 2, and a high half H, and the
     term factors as own(S & L) own(S & H) prod_{x in H} cross_x(x in S, S & L).
-    One row per side vector of L, grouped by its count in S, holds its 2|H|
-    cross products and then its own product.  Each side vector of H with
-    count c picks its |H| cross entries and the own entry from every row of
-    count low with low + c in ks, into the total of k = low + c, so the inner
-    loop over the rows runs in C.  The factor tables are built once for all
-    of ks, and each half keeps only side vectors that can still complete a
-    count in [min(ks), max(ks)]."""
+    The side vectors of L are sorted by their count in S, so the rows of any
+    range of counts are one contiguous slice.  A depth-first walk assigns
+    the positions of H one at a time; each node keeps the running product
+    own(S & L) prod cross_x over the positions x set so far for every row
+    whose count can still complete a count in [min(ks), max(ks)], and a
+    child multiplies that slice by the rows' cross factors of its position
+    and side in one pass in C.  At the last position, where S is complete
+    with c high points, the rows of count low, low + c in ks, add own(S & H)
+    times the dot product of their slice with that factor column into the
+    total of k = low + c.  Each shared prefix of the high products is
+    formed once, and the factor tables once for all of ks."""
     p, q = t.numerator, t.denominator
     b, common = _scaled(a)
     n = len(b)
+    if n == 0:
+        return [Fraction(1) for _ in ks]  # the empty product of the one fixed point
     h = n // 2
     lo, hi = min(ks), max(ks)
     wanted = set(ks)
     # f[i][s]: the factors of i on side s with each later x on side 0, then 1
     f = [[[_pair_factor(b[i], b[x], s, x_in, p, q) for x in range(i + 1, n) for x_in in (0, 1)]
           for s in (0, 1)] for i in range(n)]
-    rows: list[list[tuple[int, ...]]] = [[] for _ in range(h + 1)]
-    for count, _, own, cross in _half(f, 0, h, lo - (n - h), hi):
-        rows[count].append((*cross, own))
+    rows = sorted(_half(f, h, lo - (n - h), hi), key=operator.itemgetter(0))
+    # rows of count low are rows[starts[low]:starts[low + 1]]
+    counts = [count for count, _, _ in rows]
+    starts = [bisect.bisect_left(counts, low) for low in range(h + 2)]
+    # cols[2 (x - h) + s]: the cross factor of the high position x on side s, by row
+    cols = [list(col) for col in zip(*(cross for _, _, cross in rows))]
     # targets[c]: the low counts that complete a k in ks with c high ones
-    targets = [[low for low in range(h + 1) if low + c in wanted and rows[low]]
+    targets = [[low for low in range(h + 1) if low + c in wanted and starts[low] < starts[low + 1]]
                for c in range(n - h + 1)]
     totals = [0] * (n + 1)
-    for count, sides, own, _ in _half(f, h, n, lo - h, hi):
-        # the own entry sits at 2|H|; with H empty (n = 0) it is the one
-        # pick, which itemgetter would return bare rather than as a tuple
-        picks = [2 * j + s for j, s in enumerate(sides)] + [2 * (n - h)]
-        getter = operator.itemgetter(*picks) if len(picks) > 1 else tuple
-        for low in targets[count]:
-            totals[low + count] += own * sum(map(math.prod, map(getter, rows[low])))
+    # depth first, one node per entry: the next high position x, the count so
+    # far, the high half's own product and its factors with x and every later
+    # position (side 0, then 1), and the running products of rows first..
+    stack = [(h, 0, 1, [1] * 2 * (n - h), 0, [own for _, own, _ in rows])]
+    while stack:
+        x, count, own, cross, first, prods = stack.pop()
+        for s in (0, 1):
+            c = count + s
+            col = cols[2 * (x - h) + s]
+            if x == n - 1:
+                # S is complete: the rows of count low, low + c in ks, add their terms
+                for low in targets[c]:
+                    u, v = starts[low] - first, starts[low + 1] - first
+                    totals[low + c] += own * cross[s] * sum(map(operator.mul, prods[u:v],
+                                                                col[u + first:v + first]))
+                continue
+            # low counts that complete [lo, hi] with c to c + n - 1 - x high points
+            i = starts[max(lo - c - (n - 1 - x), 0)]
+            j = starts[max(min(hi - c, h) + 1, 0)]
+            if i < j:
+                stack.append((x + 1, c, own * cross[s], list(map(operator.mul, cross[2:], f[x][s])),
+                              i, list(map(operator.mul, prods[i - first:j - first], col[i:j]))))
     return [Fraction(totals[k], common * q ** (k * (n - k))) for k in ks]
 
 

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .exactnum import (as_fraction, form, inertia, integer_scaled, rank,
-                       reject_tuple_arithmetic)
+from .exactnum import (as_fraction, inertia, integer_scaled, rank,
+                       reject_tuple_arithmetic, sparse_form)
 
 EVEN = "even"
 ODD = "odd"
+Support = Sequence[tuple[int, int]]  # the nonzero coordinates (i, x) of a vector
 
 
 class Root(NamedTuple):
@@ -51,35 +52,34 @@ class RootSystem(NamedTuple):
     roots: tuple[Root, ...]
 
 
-def _vec(coords) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(c) for c in coords)
-
-
-def _basis_vec(dim: int, assignments: dict[int, int | Fraction]) -> tuple[Fraction, ...]:
-    v = [Fraction(0)] * dim
-    for i, c in assignments.items():
-        v[i] = as_fraction(c)
-    return tuple(v)
+def _roots(dim: int, specs, den: int = 1) -> tuple[Root, ...]:
+    """The root sum_(i, c) c/den * e_i of each (support, parity) spec, with
+    one Fraction per coefficient c in -2..2."""
+    value = {c: Fraction(c, den) for c in range(-2, 3)}
+    roots = []
+    for support, parity in specs:
+        v = [value[0]] * dim
+        for i, c in support:
+            v[i] = value[c]
+        roots.append(Root(tuple(v), parity))
+    return tuple(roots)
 
 
 def _diag_gram(signature) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(signature)
-    return tuple(
-        tuple(as_fraction(signature[i]) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
+    exact, zero, n = {x: as_fraction(x) for x in set(signature)}, Fraction(0), len(signature)
+    return tuple((zero,) * i + (exact[x],) + (zero,) * (n - 1 - i) for i, x in enumerate(signature))
 
 
-def _signed(dim: int, support, parity: str, scale=1) -> list[Root]:
-    """Every root sum_k s_k * scale * e_(support_k) over the signs s_k = +-1."""
-    return [Root(_basis_vec(dim, {i: s * scale for i, s in zip(support, signs)}), parity)
+def _signed(support, parity: str, c: int = 1) -> list:
+    """The specs of every root sum_k s_k * c * e_(support_k) over the signs s_k = +-1."""
+    return [(tuple((i, s * c) for i, s in zip(support, signs)), parity)
             for signs in itertools.product((1, -1), repeat=len(support))]
 
 
 def _gl_roots(m: int, n: int) -> tuple[Root, ...]:
     # e_i - e_j for i != j: even within a block, odd across the blocks
-    return tuple(Root(_basis_vec(m + n, {i: 1, j: -1}), EVEN if (i < m) == (j < m) else ODD)
-                 for i, j in itertools.permutations(range(m + n), 2))
+    return _roots(m + n, ((((i, 1), (j, -1)), EVEN if (i < m) == (j < m) else ODD)
+                          for i, j in itertools.permutations(range(m + n), 2)))
 
 
 def _osp_roots(big_m: int, two_n: int) -> tuple[Root, ...]:
@@ -87,50 +87,40 @@ def _osp_roots(big_m: int, two_n: int) -> tuple[Root, ...]:
     # when M is odd; basis eps_1..eps_m, delta_1..delta_n
     m, n = big_m // 2, two_n // 2
     dim = m + n
-    roots = []
+    specs = []
     for i, j in itertools.combinations(range(dim), 2):
-        roots += _signed(dim, (i, j), EVEN if (i < m) == (j < m) else ODD)
+        specs += _signed((i, j), EVEN if (i < m) == (j < m) else ODD)
     for k in range(m, dim):
-        roots += _signed(dim, (k,), EVEN, 2)
+        specs += _signed((k,), EVEN, 2)
     if big_m % 2 == 1:
         for i in range(dim):
-            roots += _signed(dim, (i,), EVEN if i < m else ODD)
-    return tuple(roots)
+            specs += _signed((i,), EVEN if i < m else ODD)
+    return _roots(dim, specs)
 
 
 def _d21a_roots() -> tuple[Root, ...]:
-    evens = [r for i in range(3) for r in _signed(3, (i,), EVEN, 2)]
-    return tuple(evens + _signed(3, range(3), ODD))
+    evens = [spec for i in range(3) for spec in _signed((i,), EVEN, 2)]
+    return _roots(3, evens + _signed(range(3), ODD))
 
 
 def _g3_roots() -> tuple[Root, ...]:
-    # basis (eps1, eps2, delta); eps3 = -eps1 - eps2
-    e1 = _vec((1, 0, 0))
-    e2 = _vec((0, 1, 0))
-    e3 = _vec((-1, -1, 0))
-    pos_even = [
-        Root(e1, EVEN), Root(e2, EVEN), Root(e3, EVEN),
-        Root(_vec((1, -1, 0)), EVEN),   # eps1 - eps2
-        Root(_vec((2, 1, 0)), EVEN),    # eps1 - eps3
-        Root(_vec((1, 2, 0)), EVEN),    # eps2 - eps3
-        Root(_vec((0, 0, 2)), EVEN),    # 2 delta
-    ]
-    pos_odd = [Root(_vec((0, 0, 1)), ODD)]  # delta
-    for eps in (e1, e2, e3):
-        for s in (1, -1):
-            pos_odd.append(Root(_vec((eps[0], eps[1], s)), ODD))
-    pos = pos_even + pos_odd
-    return tuple(pos) + tuple(-r for r in pos)
+    # basis (eps1, eps2, delta); eps3 = -eps1 - eps2.  Positive even roots:
+    # eps1, eps2, eps3, eps1 - eps2, eps1 - eps3, eps2 - eps3, 2 delta; odd:
+    # delta and eps_k +- delta
+    e1, e2, e3 = (1, 0), (0, 1), (-1, -1)
+    pos = [(v, EVEN) for v in ((*e1, 0), (*e2, 0), (*e3, 0), (1, -1, 0), (2, 1, 0),
+                               (1, 2, 0), (0, 0, 2))]
+    pos += [((0, 0, 1), ODD)] + [((*eps, s), ODD) for eps in (e1, e2, e3) for s in (1, -1)]
+    return _roots(3, [(tuple((i, sign * c) for i, c in enumerate(v) if c), parity)
+                      for sign in (1, -1) for v, parity in pos])
 
 
 def _f4_roots() -> tuple[Root, ...]:
-    # basis (eps1, eps2, eps3, delta)
-    roots = []
-    for i, j in itertools.combinations(range(3), 2):
-        roots += _signed(4, (i, j), EVEN)
-    for i in range(4):
-        roots += _signed(4, (i,), EVEN)
-    return tuple(roots + _signed(4, range(4), ODD, Fraction(1, 2)))
+    # basis (eps1, eps2, eps3, delta), in halves
+    specs = [spec for i, j in itertools.combinations(range(3), 2)
+             for spec in _signed((i, j), EVEN, 2)]
+    specs += [spec for i in range(4) for spec in _signed((i,), EVEN, 2)]
+    return _roots(4, specs + _signed(range(4), ODD), 2)
 
 
 def build_root_system(family: str, *params) -> RootSystem:
@@ -166,7 +156,8 @@ def build_root_system(family: str, *params) -> RootSystem:
     if fam == "g3":
         if params:
             raise ValueError("g3 takes no parameters")
-        gram = tuple(map(_vec, ((2, -1, 0), (-1, 2, 0), (0, 0, -2))))
+        two, minus, zero = Fraction(2), Fraction(-1), Fraction(0)
+        gram = ((two, minus, zero), (minus, two, zero), (zero, zero, -two))
         return RootSystem(fam, (), gram, _g3_roots())
     if fam == "f4":
         if params:
@@ -175,18 +166,22 @@ def build_root_system(family: str, *params) -> RootSystem:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _isotropic(system: RootSystem) -> tuple[list[list[int]], list[tuple[Root, list[int]]]]:
+def _isotropic(system: RootSystem) -> tuple[list[list[int]], list[tuple[Root, Support]]]:
     """The Gram matrix scaled to integers, and the isotropic odd roots,
-    each beside its coordinates scaled to integers by one common lcm.
+    each beside its integer support: the nonzero coordinates (i, x) after
+    scaling every odd root by one common lcm.
 
     Both scales are positive, so every zero test of the form, every sign
     and the lexicographic order of coordinates are those of the exact
-    values; the defect pass runs on these integers through ``form``.
+    values; the defect pass runs on these integers through
+    ``sparse_form``.
     """
     gram, _ = integer_scaled(system.gram)
     odd = [r for r in system.roots if r.parity == ODD]
-    coords, _ = integer_scaled([r.coords for r in odd])
-    return gram, [(r, c) for r, c in zip(odd, coords) if form(gram, c, c) == 0]
+    supports = [list(itertools.compress(enumerate(r.coords), r.coords)) for r in odd]
+    values, _ = integer_scaled([[x for _, x in s] for s in supports])
+    integer = [[(i, x) for (i, _), x in zip(s, v)] for s, v in zip(supports, values)]
+    return gram, [(r, s) for r, s in zip(odd, integer) if sparse_form(gram, s, s) == 0]
 
 
 def isotropic_roots(system: RootSystem) -> tuple[Root, ...]:
@@ -201,23 +196,23 @@ def _positive_representatives(system: RootSystem):
     (support positions, coordinate tuple), so e.g. in gl(m|n) the roots
     eps_i - delta_j come in the order of their index pairs (i, j).
     Returns the integer Gram matrix of :func:`_isotropic` and the
-    representatives beside their integer coordinates.
+    representatives beside their integer supports.
     """
     gram, iso = _isotropic(system)
     reps = {}
     # the first root met of each pair is kept: a positive root listed first
     # needs no negation
-    for r, c in iso:
-        flip = next(x for x in c if x) < 0
-        coords = tuple(-x for x in c) if flip else tuple(c)
-        if coords not in reps:
-            reps[coords] = -r if flip else r
+    for r, s in iso:
+        flip = s[0][1] < 0
+        support = tuple((i, -x) for i, x in s) if flip else tuple(s)
+        if support not in reps:
+            reps[support] = -r if flip else r
 
-    def key(coords):
-        support = tuple(i for i, c in enumerate(coords) if c != 0)
-        return (support, coords)
+    def key(support):
+        # with equal positions, the values order the coordinate tuples
+        return tuple(i for i, _ in support), tuple(x for _, x in support)
 
-    return gram, [(reps[c], c) for c in sorted(reps, key=key)]
+    return gram, [(reps[s], s) for s in sorted(reps, key=key)]
 
 
 def witt_index(system: RootSystem) -> int:
@@ -236,20 +231,20 @@ def _max_orthogonal_independent(system: RootSystem) -> list[Root]:
 
     One include-first pass over the canonical representative order keeps
     a representative when it is orthogonal to the roots kept so far and the
-    kept set stays independent, and stops at the Witt index.  Orthogonality and
-    independence are decided on the integer coordinates of
-    :func:`_positive_representatives`.  A pass that ends below the Witt
-    index is not certified maximal and raises ValueError.
+    kept set stays independent, and stops at the Witt index.  Orthogonality
+    is decided on the integer supports of :func:`_positive_representatives`
+    and independence by the rank of the exact coordinates.  A pass that
+    ends below the Witt index is not certified maximal and raises ValueError.
     """
     gram, reps = _positive_representatives(system)
     bound = witt_index(system)
-    kept: list[tuple[Root, tuple[int, ...]]] = []
-    for root, coords in reps:
+    kept: list[tuple[Root, Support]] = []
+    for root, support in reps:
         if len(kept) == bound:
             break
-        if (all(form(gram, c, coords) == 0 for _, c in kept)
-                and rank([c for _, c in kept] + [coords]) == len(kept) + 1):
-            kept.append((root, coords))
+        if (all(sparse_form(gram, s, support) == 0 for _, s in kept)
+                and rank([r.coords for r, _ in kept] + [root.coords]) == len(kept) + 1):
+            kept.append((root, support))
     if len(kept) < bound:
         raise ValueError(
             f"defect of {system.family}{system.params} not certified: the greedy "

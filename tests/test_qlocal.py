@@ -179,10 +179,13 @@ def test_brute_table_is_gaussian_binomial_at_minus_one():
 
 def test_all_k_kernel_matches_per_r_sums():
     # n = 0 and n = 1 leave one half empty, odd n gives unequal halves, and
-    # r = 0 and r = n keep a single side vector per half
-    ts = (-1, 1) + tuple(Fraction(p, q) for p, q in ((-3, 7), (5, 2), (2, 9)))
-    for n in range(11):
+    # r = 0 and r = n keep a single side vector per half; up to n = 14 the
+    # walk over the high half reaches full depth, and it prunes to other
+    # rows for every r than for one
+    every_n = (-1, 1, Fraction(-3, 7))
+    for n in range(qlocal.MAX_N + 1):
         vectors = seeded_param_vectors(n, 2, 1100 + n) + [FRACTIONAL_PARAMS[:n]]
+        ts = every_n + ((Fraction(5, 2), Fraction(2, 9)) if n <= 10 else ())
         for a, t in itertools.product(vectors, ts):
             sums = qlocal._fixed_point_sums(range(n + 1), validate_params(a), t)
             assert len(sums) == n + 1

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from supervol import rootsys
+from supervol import cli, exactnum, rootsys
 from supervol.exactnum import form
 from supervol.rootsys import (
     EVEN,
@@ -15,6 +19,9 @@ from supervol.rootsys import (
     isotropic_roots,
     witt_index,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def coords_set(roots):
@@ -325,6 +332,63 @@ def test_defect_witnesses_literal():
         assert [plus.coords for plus, _ in pairs] == [tuple(map(f, c)) for c in coords]
         assert all(isinstance(x, Fraction) for plus, minus in pairs
                    for x in plus.coords + minus.coords)
+
+
+WITNESS_CASES = (
+    [(fam, (m, n)) for fam in ("gl", "sl") for m in range(7) for n in range(7)]
+    + [case for case in INTEGER_ROUTE_FAMILIES if case[0] == "osp"]
+    + [("d21a", (Fraction(x),)) for x in ("1", "1/2", "2/3", "-1/2", "-3")]
+    + [("g3", ()), ("f4", ())]
+)
+
+
+def defect_witness_lines() -> str:
+    """Per case, the ``defect --format json`` line, then a line with the
+    coordinates of the ``defect_subgroup_roots`` witnesses."""
+    out = io.StringIO()
+    for family, params in WITNESS_CASES:
+        args = [str(p) for p in params]
+        with contextlib.redirect_stdout(out):
+            # "--" lets a negative alpha through as a parameter
+            assert cli.main(["defect", "--format", "json", family, "--", *args]) == 0
+        system = build_root_system(family, *params)
+        pairs = defect_subgroup_roots(system) if isotropic_roots(system) else []
+        witnesses = [[str(x) for x in plus.coords] for plus, _ in pairs]
+        out.write(json.dumps({"family": family, "params": args, "witnesses": witnesses}) + "\n")
+    return out.getvalue()
+
+
+def test_defect_witnesses_match_the_recorded_output():
+    assert defect_witness_lines() == (DATA / "defect_witnesses.jsonl").read_text()
+
+
+@pytest.mark.parametrize("family,params", [
+    ("gl", (3, 2)), ("sl", (2, 3)), ("gl", (0, 2)), ("osp", (3, 2)), ("osp", (5, 4)),
+    ("osp", (4, 6)), ("d21a", (2,)), ("d21a", ("-1/2",)), ("g3", ()), ("f4", ()),
+])
+def test_builders_make_fractions_only(family, params):
+    # the builders share one Fraction per distinct value; none may leak an int
+    system = build_root_system(family, *params)
+    assert all(type(x) is Fraction for row in system.gram for x in row)
+    assert all(type(x) is Fraction for r in system.roots for x in r.coords)
+
+
+def test_defect_pass_calls_no_public_form(monkeypatch):
+    # the pass evaluates the form on integer supports through the kernel
+    # itself; the public, validating ``form`` would scan dense vectors
+    calls = []
+    real = exactnum.form
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (exactnum, rootsys):
+        if hasattr(module, "form"):
+            monkeypatch.setattr(module, "form", counted)
+    system = build_root_system("gl", 6, 6)
+    assert defect(system) == 6 and len(defect_subgroup_roots(system)) == 6
+    assert calls == []
 
 
 def test_form_on_integers_matches_fraction_evaluation():
