@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -35,6 +36,10 @@ PARAM_COUNTS = {
     "splitting": {"gl": 4, "q": 2},
     "chain": {"GL": 2, "Q": 1},
 }
+# argparse takes a token that starts with "-" for an option unless it looks
+# like a negative number.  Every value here whose "-" is followed by a digit
+# or by ".digit" is one (-3, -1/2, -.5, -1,2), and no option starts so.
+NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 
 
 def _emit(args, command: str, params: dict, result, rules: list[str], text: str):
@@ -253,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, helptext):
         p = sub.add_parser(name, help=helptext)
+        p._negative_number_matcher = NEGATIVE_VALUE
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(func=func)
         return p
@@ -280,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("defect", _cmd_defect, "defect of a root system family")
     p.add_argument("family", type=str.lower, choices=tuple(PARAM_COUNTS["defect"]))
     p.add_argument("params", nargs="*",
-                   help="family parameters, e.g. 'gl 2 3' or 'd21a 1/2'; "
-                        "negative values go after '--', e.g. 'd21a -- -1/2'")
+                   help="family parameters, e.g. 'gl 2 3', 'd21a 1/2' or "
+                        "'d21a -1/2' (also 'd21a -- -1/2')")
 
     p = add("c-table", _cmd_c_table, "closed-form localization constants C(r, n)")
     p.add_argument("nmax", type=_int_in_range(0))
@@ -290,6 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("localize", _cmd_localize, "equal-rank localization fixed-point sum")
+    p.description = ("The equal-rank localization sum is taken at t = 1, where every "
+                     "fixed-point term is exactly 1, so it counts the binom(n, r) "
+                     "fixed points and 'all_samples_agree' checks only their "
+                     "enumeration.")
     p.add_argument("r", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--samples", type=_int_in_range(1), default=3)
@@ -305,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("casimir", _cmd_casimir, "Casimir eigenvalue for a built-in pair")
     p.add_argument("pair", type=str.lower, choices=("osp", "g12", "f31"))
-    p.add_argument("weight", help="comma-separated rational coefficients")
+    p.add_argument("weight", help="comma-separated rational coefficients, "
+                                  "e.g. '1,0' or '-1/2,3'")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
 
@@ -335,9 +346,15 @@ def _numbers(parser, tokens: list[str]) -> list:
     return out
 
 
-def _normalize_args(parser, args):
-    """Resolve the positional arguments that argparse cannot; a wrong count
-    or a malformed number is a usage error (exit 2)."""
+def _normalize_args(parser, args, extras: list[str]):
+    """Resolve the positional arguments that argparse cannot; a wrong count,
+    a malformed number or an unknown argument is a usage error (exit 2)."""
+    if extras:
+        # argparse ends the params of ``defect``, which may be empty, at the
+        # first option; the values after it come back here
+        if args.verb != "defect":
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.params += extras
     if args.verb in PARAM_COUNTS:
         count = PARAM_COUNTS[args.verb][args.family]
         if len(args.params) != count:
@@ -355,9 +372,14 @@ def _normalize_args(parser, args):
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # every negative value parses as a value, so a "--" marks nothing; it is
+    # dropped, so that options after it, such as --format, still count
+    if "--" in argv:
+        argv.remove("--")
     parser = build_parser()
-    args = parser.parse_args(argv)
-    _normalize_args(parser, args)
+    args, extras = parser.parse_known_args(argv)
+    _normalize_args(parser, args, extras)
     try:
         outcome = args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

@@ -5,17 +5,20 @@ Matrices are plain sequences of sequences of values accepted by
 in the dozens and storage is dense.  Each public routine normalizes its
 input with ``mat`` once, at the boundary, and hands the result to private
 kernels (``_det``, ``_skew``, ``_mat_mul``, ``_pfaffian``) that never
-normalize again.  Ranks, determinants and Pfaffians
+normalize again.  Determinants and Pfaffians
 come from fraction-free kernels: the matrix is scaled to integers once
 by an lcm of its denominators, and every elimination step divides
 exactly by the previous pivot, so the inner loops do integer arithmetic
-only.  One Bareiss elimination serves ``rank`` and ``det``, and its skew
-analogue serves ``pfaffian``.  ``mat_mul`` scales each operand to integers
-once, takes integer dot products and makes one ``Fraction`` per entry.
-Symmetric congruence elimination over ``Fraction`` gives the inertia of a
-quadratic form.  ``sparse_form`` is the one evaluation of a bilinear
-form v^T * G * w, on the supports of v and w; ``form`` is its validating
-boundary, as ``det`` is for ``_det``.
+only.  One Bareiss elimination serves ``det``, and its skew analogue
+serves ``pfaffian``.  ``mat_mul`` scales each operand to integers once,
+takes integer dot products and makes one ``Fraction`` per entry.
+Symmetric congruence elimination (``integer_inertia``, behind the
+validating ``inertia``) gives the inertia of a quadratic form.
+``sparse_form`` is the one evaluation of a bilinear form v^T * G * w, on
+the supports of v and w; ``form`` is its validating boundary, as ``det``
+is for ``_det``.  ``extend_echelon`` is the one rank kernel: it decides
+the independence of a sparse integer row from an echelon that the
+caller keeps, by one fraction-free reduction.
 
 The fixed-point invariant of an odd isomorphism acting on a (2n|2n)-
 dimensional space is computed two ways:
@@ -34,7 +37,7 @@ this on random inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -172,9 +175,40 @@ def _echelon(m: Matrix) -> tuple[int, int, int]:
     return rank, sign * prev, scale
 
 
-def rank(m) -> int:
-    """Exact rank by Bareiss' fraction-free elimination."""
-    return _echelon(mat(m))[0]
+def extend_echelon(rows: list, v) -> bool:
+    """Append the integer row v, given by its support (its nonzero
+    coordinates as pairs (i, x)), to the echelon ``rows`` when it is
+    independent of the rows there; say whether it was.
+
+    ``rows`` starts empty and holds pairs (pivot, row), each row a dict of
+    its nonzero coordinates that is zero at the pivots of the rows before
+    it.  v is reduced against each row in turn: with b its entry at the
+    row's pivot and a the row's own, v becomes (a * v - b * row) / g for
+    g = gcd(a, b), which clears v at that pivot and keeps it zero at the
+    earlier ones.  The remainder is zero exactly when v lies in the span
+    of the rows; otherwise it joins them, divided by the gcd of its
+    entries, with its first position as pivot.  Each call is one
+    reduction, whatever the number of rows before it.
+    """
+    v = dict(v)
+    for pivot, row in rows:
+        b = v.get(pivot)
+        if b:
+            a = row[pivot]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            v = {j: a * x for j, x in v.items()}
+            for j, y in row.items():
+                x = v.get(j, 0) - b * y
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+    if not v:
+        return False
+    g = gcd(*v.values())
+    rows.append((min(v), {j: x // g for j, x in v.items()}))
+    return True
 
 
 def _det(m: Matrix) -> Fraction:
@@ -261,19 +295,31 @@ def pfaffian(m) -> Fraction:
 def inertia(sym) -> tuple[int, int, int]:
     """Inertia (positive, negative, zero) of a symmetric rational matrix.
 
-    Exact symmetric elimination: a nonzero diagonal pivot d splits off
-    <d> and leaves its Schur complement, which is congruent to the rest
-    (Sylvester's law of inertia).  When every remaining diagonal entry
-    is 0 but some a[i][j] is not, the congruence e_i += e_j makes the
-    pivot a[i][i] = 2 a[i][j] nonzero; leading minors alone would stop
-    at such a zero minor.
+    The matrix is scaled to integers by the lcm of its denominators, which
+    keeps the inertia, and handed to :func:`integer_inertia`.
     """
-    a = [list(row) for row in mat(sym)]
+    a, _ = integer_scaled(mat(sym))
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inertia of non-square matrix")
     if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix is not symmetric")
+    return integer_inertia(a)
+
+
+def integer_inertia(a: list[list[int]]) -> tuple[int, int, int]:
+    """Inertia of a symmetric integer matrix, which is overwritten.
+
+    Exact symmetric elimination: a nonzero diagonal pivot d splits off
+    <d> and leaves its Schur complement, which is congruent to the rest
+    (Sylvester's law of inertia).  Only the rows with a nonzero entry in
+    the pivot column change, by the exact multipliers a[i][piv] / d, so
+    entries stay ints until such an update.  When every remaining
+    diagonal entry is 0 but some a[i][j] is not, the congruence
+    e_i += e_j makes the pivot a[i][i] = 2 a[i][j] nonzero; leading minors
+    alone would stop at such a zero minor.
+    """
+    n = len(a)
     idx = list(range(n))
     pos = neg = 0
     while idx:
@@ -297,7 +343,7 @@ def inertia(sym) -> tuple[int, int, int]:
         row_p = a[piv]
         for p, i in enumerate(idx):
             if a[i][piv]:
-                f = a[i][piv] / d
+                f = Fraction(a[i][piv], d)
                 row_i = a[i]
                 for j in idx[p:]:
                     row_i[j] -= f * row_p[j]

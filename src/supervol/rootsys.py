@@ -1,13 +1,16 @@
 """Root systems of classical Lie superalgebras and defect computation.
 
-Weights are tuples of Fractions in a fixed basis; each system carries a
-rational Gram matrix for the invariant form.  The defect (the maximal
-number of mutually orthogonal, linearly independent isotropic odd roots)
-is found by one greedy pass certified by the Witt index of the form: such
-roots span a totally isotropic subspace, so the defect is at most
-``witt_index``, and a pass that reaches that bound has found a maximum
-set.  On every supported family it does; a pass that ends below the bound
-raises ValueError.
+A root is its support in a fixed basis: the nonzero integer coordinates
+(i, c), sorted by i, over a denominator that all roots of a system share
+(1, or 2 for ``f4``); ``Root.coords`` renders the dense Fractions for
+output.  Each system carries a rational Gram matrix for the invariant
+form.  The defect (the maximal number of mutually orthogonal, linearly
+independent isotropic odd roots) is found by one greedy pass over the
+supports, certified by the Witt index of the form: such roots span a
+totally isotropic subspace, so the defect is at most ``witt_index``, and
+a pass that reaches that bound has found a maximum set.  On every
+supported family it does; a pass that ends below the bound raises
+ValueError.
 
 Supported families:
 
@@ -25,22 +28,30 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .exactnum import (as_fraction, inertia, integer_scaled, rank,
+from .exactnum import (as_fraction, extend_echelon, integer_inertia, integer_scaled,
                        reject_tuple_arithmetic, sparse_form)
 
 EVEN = "even"
 ODD = "odd"
-Support = Sequence[tuple[int, int]]  # the nonzero coordinates (i, x) of a vector
 
 
 class Root(NamedTuple):
-    coords: tuple[Fraction, ...]
+    support: tuple[tuple[int, int], ...]  # the nonzero (i, c), sorted by i
     parity: str
+    dim: int
+    den: int  # coordinate i is c / den
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        v = [Fraction(0)] * self.dim
+        for i, c in self.support:
+            v[i] = Fraction(c, self.den)
+        return tuple(v)
 
     def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coords), self.parity)
+        return Root(tuple((i, -c) for i, c in self.support), self.parity, self.dim, self.den)
 
     __add__ = __radd__ = __mul__ = __rmul__ = reject_tuple_arithmetic
 
@@ -53,16 +64,9 @@ class RootSystem(NamedTuple):
 
 
 def _roots(dim: int, specs, den: int = 1) -> tuple[Root, ...]:
-    """The root sum_(i, c) c/den * e_i of each (support, parity) spec, with
-    one Fraction per coefficient c in -2..2."""
-    value = {c: Fraction(c, den) for c in range(-2, 3)}
-    roots = []
-    for support, parity in specs:
-        v = [value[0]] * dim
-        for i, c in support:
-            v[i] = value[c]
-        roots.append(Root(tuple(v), parity))
-    return tuple(roots)
+    """The root sum_(i, c) c/den * e_i of each (support, parity) spec,
+    whose support is a tuple of the pairs (i, c) sorted by i."""
+    return tuple(Root._make((support, parity, dim, den)) for support, parity in specs)
 
 
 def _diag_gram(signature) -> tuple[tuple[Fraction, ...], ...]:
@@ -71,14 +75,17 @@ def _diag_gram(signature) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _signed(support, parity: str, c: int = 1) -> list:
-    """The specs of every root sum_k s_k * c * e_(support_k) over the signs s_k = +-1."""
-    return [(tuple((i, s * c) for i, s in zip(support, signs)), parity)
-            for signs in itertools.product((1, -1), repeat=len(support))]
+    """The specs of every root sum_k s_k * c * e_(support_k) over the signs
+    s_k = +-1, the signs in the order of ``itertools.product((1, -1), ...)``."""
+    return [(pairs, parity) for pairs in itertools.product(*(((i, c), (i, -c)) for i in support))]
 
 
 def _gl_roots(m: int, n: int) -> tuple[Root, ...]:
-    # e_i - e_j for i != j: even within a block, odd across the blocks
-    return _roots(m + n, ((((i, 1), (j, -1)), EVEN if (i < m) == (j < m) else ODD)
+    # e_i - e_j for i != j: even within a block, odd across the blocks; the
+    # roots share one pair (i, +-1) per coordinate
+    plus, minus = [(i, 1) for i in range(m + n)], [(i, -1) for i in range(m + n)]
+    return _roots(m + n, (((plus[i], minus[j]) if i < j else (minus[j], plus[i]),
+                           EVEN if (i < m) == (j < m) else ODD)
                           for i, j in itertools.permutations(range(m + n), 2)))
 
 
@@ -166,62 +173,51 @@ def build_root_system(family: str, *params) -> RootSystem:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _isotropic(system: RootSystem) -> tuple[list[list[int]], list[tuple[Root, Support]]]:
-    """The Gram matrix scaled to integers, and the isotropic odd roots,
-    each beside its integer support: the nonzero coordinates (i, x) after
-    scaling every odd root by one common lcm.
-
-    Both scales are positive, so every zero test of the form, every sign
-    and the lexicographic order of coordinates are those of the exact
-    values; the defect pass runs on these integers through
-    ``sparse_form``.
-    """
+def _isotropic(system: RootSystem) -> tuple[list[list[int]], list[Root]]:
+    """The Gram matrix scaled to integers, and the isotropic odd roots.
+    The scale and the roots' denominator are positive, so every zero test
+    of the form, sign and order on the supports is that of the exact values."""
     gram, _ = integer_scaled(system.gram)
-    odd = [r for r in system.roots if r.parity == ODD]
-    supports = [list(itertools.compress(enumerate(r.coords), r.coords)) for r in odd]
-    values, _ = integer_scaled([[x for _, x in s] for s in supports])
-    integer = [[(i, x) for (i, _), x in zip(s, v)] for s, v in zip(supports, values)]
-    return gram, [(r, s) for r, s in zip(odd, integer) if sparse_form(gram, s, s) == 0]
+    return gram, [r for r in system.roots
+                  if r.parity == ODD and sparse_form(gram, r.support, r.support) == 0]
 
 
 def isotropic_roots(system: RootSystem) -> tuple[Root, ...]:
     """Odd roots with vanishing self-pairing."""
-    return tuple(r for r, _ in _isotropic(system)[1])
+    return tuple(_isotropic(system)[1])
 
 
-def _positive_representatives(system: RootSystem):
+def _positive_representatives(system: RootSystem) -> tuple[list[list[int]], list[Root]]:
     """One root per pair {a, -a}, sign-normalized and canonically sorted.
 
     The sign makes the first nonzero coordinate positive; the sort key is
-    (support positions, coordinate tuple), so e.g. in gl(m|n) the roots
+    (support positions, coordinate values), so e.g. in gl(m|n) the roots
     eps_i - delta_j come in the order of their index pairs (i, j).
-    Returns the integer Gram matrix of :func:`_isotropic` and the
-    representatives beside their integer supports.
+    Returns the integer Gram matrix of :func:`_isotropic` beside them.
     """
     gram, iso = _isotropic(system)
     reps = {}
-    # the first root met of each pair is kept: a positive root listed first
-    # needs no negation
-    for r, s in iso:
-        flip = s[0][1] < 0
-        support = tuple((i, -x) for i, x in s) if flip else tuple(s)
-        if support not in reps:
-            reps[support] = -r if flip else r
-
-    def key(support):
-        # with equal positions, the values order the coordinate tuples
-        return tuple(i for i, _ in support), tuple(x for _, x in support)
-
-    return gram, [(reps[s], s) for s in sorted(reps, key=key)]
+    # the first root met of each pair is kept, and a negative root is
+    # negated only when its pair is new
+    for r in iso:
+        s = r.support
+        if s[0][1] > 0:
+            reps.setdefault(s, r)
+        elif (s := tuple([(i, -c) for i, c in s])) not in reps:
+            reps[s] = -r
+    # the key (positions, values): with equal positions, the values order
+    # the coordinate tuples
+    return gram, [reps[s] for s in sorted(reps, key=lambda s: tuple(zip(*s)))]
 
 
 def witt_index(system: RootSystem) -> int:
     """Dimension of a maximal totally isotropic subspace of the form.
 
     With inertia (pos, neg, zero) of the Gram matrix this is
-    min(pos, neg) + zero; it bounds the defect from above.
+    min(pos, neg) + zero; it bounds the defect from above.  The inertia is
+    read from the Gram matrix scaled to integers, which keeps it.
     """
-    pos, neg, zero = inertia(system.gram)
+    pos, neg, zero = integer_inertia(integer_scaled(system.gram)[0])
     return min(pos, neg) + zero
 
 
@@ -231,25 +227,26 @@ def _max_orthogonal_independent(system: RootSystem) -> list[Root]:
 
     One include-first pass over the canonical representative order keeps
     a representative when it is orthogonal to the roots kept so far and the
-    kept set stays independent, and stops at the Witt index.  Orthogonality
-    is decided on the integer supports of :func:`_positive_representatives`
-    and independence by the rank of the exact coordinates.  A pass that
-    ends below the Witt index is not certified maximal and raises ValueError.
+    kept set stays independent, and stops at the Witt index.  Both tests run
+    on the integer supports: ``sparse_form``, and one ``extend_echelon``
+    reduction against the kept roots.  A pass that ends below the Witt
+    index is not certified maximal and raises ValueError.
     """
     gram, reps = _positive_representatives(system)
     bound = witt_index(system)
-    kept: list[tuple[Root, Support]] = []
-    for root, support in reps:
+    kept: list[Root] = []
+    echelon: list = []
+    for root in reps:
         if len(kept) == bound:
             break
-        if (all(sparse_form(gram, s, support) == 0 for _, s in kept)
-                and rank([r.coords for r, _ in kept] + [root.coords]) == len(kept) + 1):
-            kept.append((root, support))
+        if (all(sparse_form(gram, k.support, root.support) == 0 for k in kept)
+                and extend_echelon(echelon, root.support)):
+            kept.append(root)
     if len(kept) < bound:
         raise ValueError(
             f"defect of {system.family}{system.params} not certified: the greedy "
             f"pass kept {len(kept)} roots, below the Witt index {bound}")
-    return [root for root, _ in kept]
+    return kept
 
 
 def defect(system: RootSystem) -> int:

@@ -162,12 +162,12 @@ def check_defect_table(systems: GlSystems) -> CheckResult:
 
 def _gl_root_outcomes(systems: GlSystems):
     for (m, n), system in systems.items():
-        # both scales are positive: isotropy is that of the exact values
+        # the Gram scale and each root's denominator are positive: isotropy
+        # on the integer supports is that of the exact values
         gram, _ = exactnum.integer_scaled(system.gram)
-        coords, _ = exactnum.integer_scaled([r.coords for r in system.roots])
-        for r, c in zip(system.roots, coords):
-            isotropic = exactnum.form(gram, c, c) == 0
-            yield ("isotropic-iff-odd", m, n, r.coords), isotropic == (r.parity == rootsys.ODD)
+        for r in system.roots:
+            isotropic = exactnum.sparse_form(gram, r.support, r.support) == 0
+            yield ("isotropic-iff-odd", m, n, r.support), isotropic == (r.parity == rootsys.ODD)
 
 
 def check_root_system_invariants(systems: GlSystems) -> CheckResult:

@@ -24,12 +24,13 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def main_json(*argv):
-    """The schema-checked JSON envelope of one successful CLI call.  It
-    needs no fixture, so Hypothesis tests can use it too."""
+def main_json(*argv, at=1):
+    """The schema-checked JSON envelope of one successful CLI call, with
+    ``--format json`` inserted at position ``at`` of argv.  It needs no
+    fixture, so Hypothesis tests can use it too."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([argv[0], "--format", "json", *argv[1:]])
+        code = cli.main([*argv[:at], "--format", "json", *argv[at:]])
     assert code == 0, err.getvalue()
     envelope = json.loads(out.getvalue())
     jsonschema.validate(envelope, ENVELOPE_SCHEMA)
@@ -113,6 +114,31 @@ def test_defect(capsys):
     envelope = main_json("defect", "gl", "8", "8")
     assert envelope["result"] == 8
     assert envelope["rules"] == ["witt-index-bound"]
+
+
+# the text line, the JSON result and the JSON params of each verb below
+_NEGATIVE_VALUE_OUTPUT = {
+    "defect": ("1", 1, {"family": "d21a", "params": ["-1/2"]}),
+    "casimir": ("(weight + 2 rho, weight) = 16 (positive: True)",
+                {"eigenvalue": "16", "positive": True, "dominant": False},
+                {"pair": "g(1|2)/d(1,2;3)", "weight": ["-1", "2"]}),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["defect", "d21a", "-1/2"],
+    ["defect", "d21a", "--", "-1/2"],
+    ["casimir", "g12", "-1,2"],
+], ids=" ".join)
+def test_negative_values_parse_with_format_anywhere(capsys, argv):
+    # argparse would take "-1/2" and "-1,2" for options, and a "--format"
+    # after "--" for a value
+    text, result, params = _NEGATIVE_VALUE_OUTPUT[argv[0]]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == text + "\n"
+    for at in range(1, len(argv) + 1):
+        envelope = main_json(*argv, at=at)
+        assert (envelope["result"], envelope["params"]) == (result, params), at
 
 
 def test_uncertified_defect_is_a_domain_error(capsys, monkeypatch):
@@ -243,11 +269,15 @@ def _casimir_cases(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_casimir_cases())
-def test_casimir_json_matches_gram_formula(case):
+@given(_casimir_cases(), st.booleans(), st.integers(0, 4))
+@example(("g12", [], *_CASIMIR_PAIRS["g12"], [Fraction(-1, 2), Fraction(3)]), False, 2)
+def test_casimir_json_matches_gram_formula(case, dashes, at):
+    # negative coefficients go in as they are or after "--", and --format
+    # json between any two arguments but an option and its value
     choice, opts, gram, rho, weight = case
-    envelope = main_json("casimir", choice, *opts, "--",
-                         ",".join(str(w) for w in weight))
+    argv = ["casimir", choice, *(["--"] if dashes else []), ",".join(str(w) for w in weight)]
+    slots = list(range(1, len(argv) + 1))
+    envelope = main_json(*argv, *opts, at=slots[at % len(slots)])
     k = len(gram)
     value = sum((weight[i] + 2 * rho[i]) * gram[i][j] * weight[j]
                 for i in range(k) for j in range(k))
@@ -413,6 +443,19 @@ def test_defect_gl_json_matches_formula(m, n):
     envelope = main_json("defect", "gl", str(m), str(n))
     assert envelope["result"] == min(m, n)
     assert envelope["params"] == {"family": "gl", "params": [str(m), str(n)]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(lambda a: a not in (0, -1)),
+       st.booleans(), st.integers(1, 3))
+@example(Fraction(-1, 2), False, 3)
+@example(Fraction(-3), True, 3)
+def test_defect_d21a_json_matches_formula(alpha, dashes, at):
+    # D(2,1;alpha) has defect 1 for every alpha outside {0, -1}
+    argv = ["defect", "d21a", *(["--"] if dashes else []), str(alpha)]
+    envelope = main_json(*argv, at=min(at, len(argv)))
+    assert envelope["result"] == 1
+    assert envelope["params"] == {"family": "d21a", "params": [str(alpha)]}
 
 
 def test_domain_error_exit_code(capsys):
