@@ -352,7 +352,8 @@ def _normalize_args(parser, args, extras: list[str]):
     if extras:
         # argparse ends the params of ``defect``, which may be empty, at the
         # first option; the values after it come back here
-        if args.verb != "defect":
+        if args.verb != "defect" or any(x.startswith("-") and not NEGATIVE_VALUE.match(x)
+                                        for x in extras):
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
         args.params += extras
     if args.verb in PARAM_COUNTS:

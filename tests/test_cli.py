@@ -141,6 +141,20 @@ def test_negative_values_parse_with_format_anywhere(capsys, argv):
         assert (envelope["result"], envelope["params"]) == (result, params), at
 
 
+@pytest.mark.parametrize("argv, unknown", [
+    (["defect", "gl", "2", "3", "--bogus"], "--bogus"),
+    (["defect", "gl", "--bogus", "2", "3"], "--bogus 2 3"),
+    (["volume", "1", "1", "2", "2", "-1/2"], "-1/2"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_unknown_arguments_are_named(capsys, argv, unknown):
+    # defect takes the values that argparse leaves after an option as its
+    # params, but never an option, and no other verb takes any
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {unknown}\n")
+
+
 def test_uncertified_defect_is_a_domain_error(capsys, monkeypatch):
     bound = rootsys.witt_index
     monkeypatch.setattr(rootsys, "witt_index", lambda system: bound(system) + 1)

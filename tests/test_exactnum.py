@@ -240,6 +240,34 @@ def test_rank_matches_minor_oracle(max_den):
     assert echelon_rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
 
 
+def test_extend_echelon_matches_rank_oracle():
+    """Row by row, a row is accepted exactly when it raises the rank of the
+    rows accepted before it; a planted integer combination of accepted
+    rows is rejected and leaves the echelon as it was."""
+    rng = random.Random(53)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(cols)] for _ in range(rows)]
+        echelon, kept = [], []
+        for row in m:
+            accepted = extend_echelon(echelon, [(j, x) for j, x in enumerate(row) if x])
+            assert accepted == (rank_oracle(kept + [row]) == len(kept) + 1), (kept, row)
+            if accepted:
+                kept.append(row)
+        assert len(echelon) == len(kept) == rank_oracle(m)
+        if kept:
+            coeffs = [rng.randint(-4, 4) for _ in kept]
+            planted = [sum(c * row[j] for c, row in zip(coeffs, kept)) for j in range(cols)]
+            before = [(p, dict(r)) for p, r in echelon]
+            assert not extend_echelon(echelon, [(j, x) for j, x in enumerate(planted) if x])
+            assert echelon == before
+    echelon = []
+    assert extend_echelon(echelon, [(0, 2), (3, -1)]) and extend_echelon(echelon, [(1, 1), (3, 4)])
+    assert not extend_echelon(echelon, [(0, 6), (1, -2), (3, -11)])  # 3 * first - 2 * second
+    assert not extend_echelon(echelon, [])
+    assert extend_echelon(echelon, [(0, 6), (1, -2), (3, -10)]) and len(echelon) == 3
+
+
 skew_fractions = st.integers(min_value=0, max_value=4).flatmap(
     lambda half: st.lists(
         st.one_of(st.just(Fraction(0)),

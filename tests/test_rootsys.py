@@ -323,6 +323,69 @@ def test_integer_defect_route_matches_exact_form(family, params):
             assert form(system.gram, v, w) == 0
 
 
+def test_osp_defect_closed_form():
+    """osp(M|2n) has defect min(M // 2, n): a second route on the grid M, 2n <= 8."""
+    cases = [(big_m, two_n) for big_m in range(9) for two_n in range(0, 9, 2)]
+    assert len(cases) == 45
+    for big_m, two_n in cases:
+        assert defect(build_root_system("osp", big_m, two_n)) == min(big_m // 2, two_n // 2), \
+            (big_m, two_n)
+
+
+def test_defect_pass_renders_no_dense_coordinates(monkeypatch):
+    """With ``Root.coords`` refusing to render, every family builds and its
+    defect pass gives the same answers: the pass reads only the supports."""
+    def answers():
+        for family, params in INTEGER_ROUTE_FAMILIES:
+            system = build_root_system(family, *params)
+            iso = isotropic_roots(system)
+            yield iso, defect(system), defect_subgroup_roots(system) if iso else []
+
+    expected = list(answers())
+
+    def refuse(root):
+        raise AssertionError("dense coordinates rendered")
+
+    monkeypatch.setattr(rootsys.Root, "coords", property(refuse))
+    with pytest.raises(AssertionError, match="dense"):
+        build_root_system("gl", 1, 1).roots[0].coords
+    assert list(answers()) == expected
+
+
+def test_greedy_pass_rejects_a_dependent_orthogonal_root():
+    # on the form (+1^3, -1^3), a = e0 + e3 and b = e1 + e4 are isotropic and
+    # orthogonal, and so is their sum c, which the canonical order puts
+    # first: the pass keeps c and a, must reject b = c - a, and keeps d
+    gram = build_root_system("gl", 3, 3).gram
+
+    def root(*positions):
+        return rootsys.Root(tuple((i, 1) for i in positions), ODD, 6, 1)
+
+    a, b, c, d = root(0, 3), root(1, 4), root(0, 1, 3, 4), root(2, 5)
+    system = rootsys.RootSystem("gl", (3, 3), gram, (a, b, c, d, -a, -b, -c, -d))
+    assert witt_index(system) == 3
+    assert [plus for plus, _ in defect_subgroup_roots(system)] == [c, a, d]
+    assert independent([c.coords, a.coords, d.coords])
+    assert not independent([c.coords, a.coords, b.coords])
+
+
+@pytest.mark.parametrize("family,params", INTEGER_ROUTE_FAMILIES)
+def test_supports_are_sorted_nonzero_and_render_the_coordinates(family, params):
+    system = build_root_system(family, *params)
+    dim = len(system.gram)
+    assert rootsys.Root._fields == ("support", "parity", "dim", "den")
+    for r in system.roots:
+        positions = [i for i, _ in r.support]
+        assert positions == sorted(set(positions)) and 0 <= positions[0] <= positions[-1] < dim
+        assert all(type(c) is int and c != 0 for _, c in r.support)
+        assert r.dim == dim and r.den == (2 if family == "f4" else 1)
+        coords = r.coords
+        assert [(i, x) for i, x in enumerate(coords) if x] == [
+            (i, Fraction(c, r.den)) for i, c in r.support]
+        assert (-r).coords == tuple(-x for x in coords)
+        assert (-r).parity == r.parity and -(-r) == r
+
+
 def test_defect_witnesses_literal():
     f = Fraction
     h = Fraction(1, 2)
@@ -372,7 +435,7 @@ def test_defect_witnesses_match_the_recorded_output():
     ("osp", (4, 6)), ("d21a", (2,)), ("d21a", ("-1/2",)), ("g3", ()), ("f4", ()),
 ])
 def test_builders_make_fractions_only(family, params):
-    # the builders share one Fraction per distinct value; none may leak an int
+    # the Gram entries and the rendered coordinates are Fractions; none is an int
     system = build_root_system(family, *params)
     assert all(type(x) is Fraction for row in system.gram for x in row)
     assert all(type(x) is Fraction for r in system.roots for x in r.coords)
