@@ -11,7 +11,7 @@ the value of the t-deformed sum.
 
 from fractions import Fraction
 
-from supervol.qlocal import (alpha_subset, c_bruteforce, c_closed, gaussian_binomial,
+from supervol.qlocal import (alpha_subset, c_bruteforce, c_closed, gaussian_binomials,
                              gl_localization, localization_sum, seeded_param_vectors)
 
 
@@ -35,13 +35,13 @@ def main():
     print("zeros exactly where r(n-r) is odd")
 
     print("\n== C(r, n) is the Gaussian binomial at t = -1 ==")
-    holds = all(c_closed(r, n) == gaussian_binomial(n, r, -1)
-                for n in range(21) for r in range(n + 1))
+    holds = all(gaussian_binomials(n, -1) == [c_closed(r, n) for r in range(n + 1)]
+                for n in range(21))
     print(f"closed form equals [n choose r]_(-1) to n = 20: {holds}")
     print("so it obeys q-Pascal and the symmetry [n choose r]_t = [n choose n-r]_t")
     deformed = localization_sum(2, 4, a, 2)
     print(f"deformed sum at t = 2: localization_sum(2, 4, a, 2) = {deformed}"
-          f" = [4 choose 2]_2 = {gaussian_binomial(4, 2, 2)}")
+          f" = [4 choose 2]_2 = {gaussian_binomials(4, 2)[2]}")
 
     print("\n== equal-rank localization just counts fixed points ==")
     for (r, n) in ((1, 2), (2, 4), (3, 6)):

@@ -11,7 +11,9 @@ error, 2 usage error.
 
 Each handler imports the modules it uses, and calls them as module
 attributes at call time, so a verb loads only its own modules (``verify``
-only for ``verify``) and a rebound attribute is seen.
+only for ``verify``) and a rebound attribute is seen.  ``VERBS`` is the
+one table of verbs; a query builds the subparser of its own verb alone,
+and help and usage errors use the full parser.
 """
 
 from __future__ import annotations
@@ -248,79 +250,66 @@ def _int_in_range(low: int, high: int | None = None):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="supervol",
-        description="Exact supergrassmannian volumes, localization sums, "
-                    "defects, and splitting certificates.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, func, helptext):
-        p = sub.add_parser(name, help=helptext)
-        p._negative_number_matcher = NEGATIVE_VALUE
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("volume", _cmd_volume, "exact volume of Gr(r|s, m|n)")
+def _grass_args(p):
     for arg in ("r", "s", "m", "n"):
         p.add_argument(arg, type=int)
 
-    p = add("qvolume", _cmd_qvolume, "exact volume of the Q-grassmannian QGr(r, n)")
+
+def _sample_args(p):
+    p.add_argument("--samples", type=_int_in_range(1), default=3)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+
+
+def _qvolume_args(p):
     p.add_argument("r", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--brute", action="store_true",
                    help="also run the brute-force subset sum")
-    p.add_argument("--samples", type=_int_in_range(1), default=3)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _sample_args(p)
 
-    p = add("sdim", _cmd_sdim, "superdimension of Gr(r|s, m|n)")
-    for arg in ("r", "s", "m", "n"):
-        p.add_argument(arg, type=int)
 
-    p = add("dims", _cmd_dims, "even|odd dimensions of Gr(r|s, m|n)")
-    for arg in ("r", "s", "m", "n"):
-        p.add_argument(arg, type=int)
-
-    p = add("defect", _cmd_defect, "defect of a root system family")
+def _defect_args(p):
     p.add_argument("family", type=str.lower, choices=tuple(PARAM_COUNTS["defect"]))
     p.add_argument("params", nargs="*",
                    help="family parameters, e.g. 'gl 2 3', 'd21a 1/2' or "
                         "'d21a -1/2' (also 'd21a -- -1/2')")
 
-    p = add("c-table", _cmd_c_table, "closed-form localization constants C(r, n)")
+
+def _c_table_args(p):
     p.add_argument("nmax", type=_int_in_range(0))
     p.add_argument("--brute", action="store_true")
-    p.add_argument("--samples", type=_int_in_range(1), default=3)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _sample_args(p)
 
-    p = add("localize", _cmd_localize, "equal-rank localization fixed-point sum")
+
+def _localize_args(p):
     p.description = ("The equal-rank localization sum is taken at t = 1, where every "
                      "fixed-point term is exactly 1, so it counts the binom(n, r) "
                      "fixed points and 'all_samples_agree' checks only their "
                      "enumeration.")
     p.add_argument("r", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--samples", type=_int_in_range(1), default=3)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _sample_args(p)
 
-    p = add("splitting", _cmd_splitting, "Levi splitting predicate")
+
+def _splitting_args(p):
     p.add_argument("family", type=str.lower, choices=tuple(PARAM_COUNTS["splitting"]))
     p.add_argument("params", type=int, nargs="+", help="'gl r s m n' or 'q r n'")
 
-    p = add("chain", _cmd_chain, "certified minimal splitting chain")
+
+def _chain_args(p):
     p.add_argument("family", type=str.upper, choices=tuple(PARAM_COUNTS["chain"]))
     p.add_argument("params", type=int, nargs="+")
 
-    p = add("casimir", _cmd_casimir, "Casimir eigenvalue for a built-in pair")
+
+def _casimir_args(p):
     p.add_argument("pair", type=str.lower, choices=("osp", "g12", "f31"))
     p.add_argument("weight", help="comma-separated rational coefficients, "
                                   "e.g. '1,0' or '-1/2,3'")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
 
-    p = add("verify", _cmd_verify, "run every identity sweep")
+
+def _verify_args(p):
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--max-n", type=_int_in_range(0, MAX_N_GRASS), default=6,
                    help="exhaustive bound for grassmannian sweeps "
@@ -329,10 +318,52 @@ def build_parser() -> argparse.ArgumentParser:
                    help="brute-force bound for the subset-sum sweeps "
                         f"(0 to {MAX_N_C})")
 
+
+# Every verb in the order of the usage line: its handler, its help and the
+# function that adds its arguments to its subparser.
+VERBS = {
+    "volume": (_cmd_volume, "exact volume of Gr(r|s, m|n)", _grass_args),
+    "qvolume": (_cmd_qvolume, "exact volume of the Q-grassmannian QGr(r, n)",
+                _qvolume_args),
+    "sdim": (_cmd_sdim, "superdimension of Gr(r|s, m|n)", _grass_args),
+    "dims": (_cmd_dims, "even|odd dimensions of Gr(r|s, m|n)", _grass_args),
+    "defect": (_cmd_defect, "defect of a root system family", _defect_args),
+    "c-table": (_cmd_c_table, "closed-form localization constants C(r, n)",
+                _c_table_args),
+    "localize": (_cmd_localize, "equal-rank localization fixed-point sum", _localize_args),
+    "splitting": (_cmd_splitting, "Levi splitting predicate", _splitting_args),
+    "chain": (_cmd_chain, "certified minimal splitting chain", _chain_args),
+    "casimir": (_cmd_casimir, "Casimir eigenvalue for a built-in pair", _casimir_args),
+    "verify": (_cmd_verify, "run every identity sweep", _verify_args),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or with the subparser of ``verb`` alone.
+    Both parse a query of that verb alike; help and usage errors need
+    the full parser, whose usage line names every verb."""
+    parser = argparse.ArgumentParser(
+        prog="supervol",
+        description="Exact supergrassmannian volumes, localization sums, "
+                    "defects, and splitting certificates.",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for name, (func, helptext, add_args) in VERBS.items():
+        if verb in (None, name):
+            p = sub.add_parser(name, help=helptext)
+            p._negative_number_matcher = NEGATIVE_VALUE
+            p.add_argument("--format", choices=("text", "json"), default="text")
+            p.set_defaults(func=func)
+            add_args(p)
     return parser
 
 
-def _numbers(parser, tokens: list[str]) -> list:
+def _usage_error(message: str):
+    """Exit 2 with ``message`` under the usage line of the full parser."""
+    build_parser().error(message)
+
+
+def _numbers(tokens: list[str]) -> list:
     """Each token as an int, else a Fraction; a malformed one is a usage error."""
     out = []
     for token in tokens:
@@ -342,11 +373,11 @@ def _numbers(parser, tokens: list[str]) -> list:
             try:
                 out.append(Fraction(token))
             except (ValueError, ZeroDivisionError):
-                parser.error(f"not a rational number: {token!r}")
+                _usage_error(f"not a rational number: {token!r}")
     return out
 
 
-def _normalize_args(parser, args, extras: list[str]):
+def _normalize_args(args, extras: list[str]):
     """Resolve the positional arguments that argparse cannot; a wrong count,
     a malformed number or an unknown argument is a usage error (exit 2)."""
     if extras:
@@ -354,22 +385,22 @@ def _normalize_args(parser, args, extras: list[str]):
         # first option; the values after it come back here
         if args.verb != "defect" or any(x.startswith("-") and not NEGATIVE_VALUE.match(x)
                                         for x in extras):
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            _usage_error(f"unrecognized arguments: {' '.join(extras)}")
         args.params += extras
     if args.verb in PARAM_COUNTS:
         count = PARAM_COUNTS[args.verb][args.family]
         if len(args.params) != count:
-            parser.error(f"{args.verb} {args.family} requires {count} parameter"
+            _usage_error(f"{args.verb} {args.family} requires {count} parameter"
                          f"{'' if count == 1 else 's'}, got {len(args.params)}")
     if args.verb == "defect":
-        args.params = _numbers(parser, args.params)
+        args.params = _numbers(args.params)
     elif args.verb == "casimir":
         given = (args.m is not None, args.n is not None)
         if args.pair == "osp" and given != (True, True):
-            parser.error("casimir osp requires --m and --n")
+            _usage_error("casimir osp requires --m and --n")
         if args.pair != "osp" and any(given):
-            parser.error(f"casimir {args.pair} takes neither --m nor --n")
-        args.weight = _numbers(parser, args.weight.split(","))
+            _usage_error(f"casimir {args.pair} takes neither --m nor --n")
+        args.weight = _numbers(args.weight.split(","))
 
 
 def main(argv=None) -> int:
@@ -378,9 +409,11 @@ def main(argv=None) -> int:
     # dropped, so that options after it, such as --format, still count
     if "--" in argv:
         argv.remove("--")
-    parser = build_parser()
+    # a query names its verb first and is parsed by that verb's subparser
+    # alone; anything else (help, no verb, an unknown verb) by the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in VERBS else None)
     args, extras = parser.parse_known_args(argv)
-    _normalize_args(parser, args, extras)
+    _normalize_args(args, extras)
     try:
         outcome = args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

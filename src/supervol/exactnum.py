@@ -32,33 +32,23 @@ dimensional space is computed two ways:
 
 The two must agree on realified diagonal models; the test suite checks
 this on random inputs.
+
+The coercion and integer scaling that every module shares live in the
+leaf module ``exactvalue``; this module loads only for the CLI verbs
+``defect``, ``casimir`` and ``verify``, through ``rootsys``, ``sympair``
+and ``verify``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Sequence
 
+from .exactvalue import as_fraction, integer_scaled
+
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def as_fraction(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        raise TypeError("floating point input rejected: results must be exact")
-    return Fraction(x)
-
-
-def reject_tuple_arithmetic(self, other):
-    """Raise TypeError.  Bound as the ``+`` and ``*`` operators that the
-    NamedTuple value types do not define themselves, so that these never
-    fall back to tuple concatenation or repetition."""
-    raise TypeError(f"unsupported operand types for arithmetic: "
-                    f"{type(self).__name__!r} and {type(other).__name__!r}")
 
 
 def mat(rows) -> Matrix:
@@ -67,13 +57,6 @@ def mat(rows) -> Matrix:
     if out and any(len(row) != len(out[0]) for row in out):
         raise ValueError("ragged matrix")
     return out
-
-
-def integer_scaled(rows) -> tuple[list[list[int]], int]:
-    """Rows of exact values times d, as ints, and d: the lcm of the
-    denominators of all their entries (1 when there are none)."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
 def transpose(m) -> Matrix:

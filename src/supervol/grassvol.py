@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import as_fraction, reject_tuple_arithmetic
+from .exactvalue import as_fraction, reject_tuple_arithmetic
 
 
 class SuperDim(NamedTuple):

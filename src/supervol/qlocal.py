@@ -43,7 +43,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .exactnum import as_fraction, integer_scaled
+from .exactvalue import as_fraction, integer_scaled
 
 Params = tuple[Fraction, ...]
 MAX_N = 14  # largest n of a subset sum
@@ -203,18 +203,21 @@ def localization_sums(n: int, a: Sequence, t: Fraction | int) -> list[Fraction]:
     return _fixed_point_sums(range(n + 1), vals, as_fraction(t))
 
 
-def gaussian_binomial(n: int, r: int, t: Fraction | int) -> Fraction:
-    """[n choose r]_t by q-Pascal on integers: with t = p/q and
-    H(m, k) = q^(k(m-k)) [m choose k]_t, H(m, k) = q^(m-k) H(m-1, k-1) + p^k H(m-1, k)."""
-    if not 0 <= r <= n:
-        raise ValueError("require 0 <= r <= n")
+def gaussian_binomials(n: int, t: Fraction | int) -> list[Fraction]:
+    """[n choose r]_t for every r = 0..n, from one q-Pascal pass on integers:
+    with t = p/q and H(m, k) = q^(k(m-k)) [m choose k]_t,
+    H(m, k) = q^(m-k) H(m-1, k-1) + p^k H(m-1, k)."""
+    if n < 0:
+        raise ValueError("require n >= 0")
     t = as_fraction(t)
     p, q = t.numerator, t.denominator
-    row = [1] + [0] * r  # H(0, k)
+    p_pow = [p ** k for k in range(n + 1)]
+    q_pow = [q ** k for k in range(n + 1)]
+    row = [1] + [0] * n  # H(0, k)
     for m in range(1, n + 1):
-        for k in range(min(m, r), 0, -1):
-            row[k] = q ** (m - k) * row[k - 1] + p ** k * row[k]
-    return Fraction(row[r], q ** (r * (n - r)))
+        for k in range(m, 0, -1):
+            row[k] = q_pow[m - k] * row[k - 1] + p_pow[k] * row[k]
+    return [Fraction(h, q ** (k * (n - k))) for k, h in enumerate(row)]
 
 
 def alpha_subset(subset: Iterable[int], a: Sequence) -> Fraction:

@@ -30,8 +30,8 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import (as_fraction, extend_echelon, integer_inertia, integer_scaled,
-                       reject_tuple_arithmetic, sparse_form)
+from .exactnum import extend_echelon, integer_inertia, sparse_form
+from .exactvalue import as_fraction, integer_scaled, reject_tuple_arithmetic
 
 EVEN = "even"
 ODD = "odd"
@@ -210,6 +210,13 @@ def _positive_representatives(system: RootSystem) -> tuple[list[list[int]], list
     return gram, [reps[s] for s in sorted(reps, key=lambda s: tuple(zip(*s)))]
 
 
+def _witt_bound(gram: list[list[int]]) -> int:
+    """min(pos, neg) + zero for the inertia of the integer Gram matrix
+    ``gram``, which is left intact: ``integer_inertia`` eliminates in a copy."""
+    pos, neg, zero = integer_inertia([row[:] for row in gram])
+    return min(pos, neg) + zero
+
+
 def witt_index(system: RootSystem) -> int:
     """Dimension of a maximal totally isotropic subspace of the form.
 
@@ -217,8 +224,7 @@ def witt_index(system: RootSystem) -> int:
     min(pos, neg) + zero; it bounds the defect from above.  The inertia is
     read from the Gram matrix scaled to integers, which keeps it.
     """
-    pos, neg, zero = integer_inertia(integer_scaled(system.gram)[0])
-    return min(pos, neg) + zero
+    return _witt_bound(integer_scaled(system.gram)[0])
 
 
 def _max_orthogonal_independent(system: RootSystem) -> list[Root]:
@@ -233,7 +239,7 @@ def _max_orthogonal_independent(system: RootSystem) -> list[Root]:
     index is not certified maximal and raises ValueError.
     """
     gram, reps = _positive_representatives(system)
-    bound = witt_index(system)
+    bound = _witt_bound(gram)
     kept: list[Root] = []
     echelon: list = []
     for root in reps:

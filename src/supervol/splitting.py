@@ -18,7 +18,7 @@ import operator
 from typing import NamedTuple
 
 from . import grassvol
-from .exactnum import reject_tuple_arithmetic
+from .exactvalue import reject_tuple_arithmetic
 
 RULE_LEVI_GL = "LEVI_GL"
 RULE_LEVI_Q = "LEVI_Q"

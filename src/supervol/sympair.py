@@ -24,7 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import as_fraction, det, form, inertia, integer_scaled, mat
+from .exactnum import det, form, inertia, mat
+from .exactvalue import as_fraction, integer_scaled
 
 Vector = tuple[Fraction, ...]
 

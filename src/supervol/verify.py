@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import exactnum, grassvol, qlocal, rootsys, splitting, sympair
+from . import exactnum, exactvalue, grassvol, qlocal, rootsys, splitting, sympair
 from .grassvol import GrassSpec, VolumeExpr
 
 # Every scope that run_all's bounds do not set, and the caps of the two
@@ -164,7 +164,7 @@ def _gl_root_outcomes(systems: GlSystems):
     for (m, n), system in systems.items():
         # the Gram scale and each root's denominator are positive: isotropy
         # on the integer supports is that of the exact values
-        gram, _ = exactnum.integer_scaled(system.gram)
+        gram, _ = exactvalue.integer_scaled(system.gram)
         for r in system.roots:
             isotropic = exactnum.sparse_form(gram, r.support, r.support) == 0
             yield ("isotropic-iff-odd", m, n, r.support), isotropic == (r.parity == rootsys.ODD)
@@ -222,13 +222,15 @@ def check_c_table(table: dict[tuple[int, int], Fraction]) -> CheckResult:
 
 def check_c_recursions(table: dict[tuple[int, int], Fraction]) -> CheckResult:
     """Closed form to ``CLOSED_FORM_MAX_N`` and the brute table against
-    [n choose r]_(-1), which obeys both recursions."""
+    [n choose r]_(-1), which obeys both recursions; each row is built once."""
     brute_max_n = _bound(table, -1)
+    rows = [qlocal.gaussian_binomials(n, -1)
+            for n in range(max(CLOSED_FORM_MAX_N, brute_max_n) + 1)]
     return _sweep("c-recursions-and-symmetry",
                   f"closed form to n = {CLOSED_FORM_MAX_N}, brute force to n = {brute_max_n}",
-                  (((r, n), qlocal.c_closed(r, n) == qlocal.gaussian_binomial(n, r, -1))
+                  (((r, n), qlocal.c_closed(r, n) == rows[n][r])
                    for r, n in _triangle(CLOSED_FORM_MAX_N, low=1)),
-                  (((r, n), table[(r, n)] == qlocal.gaussian_binomial(n, r, -1))
+                  (((r, n), table[(r, n)] == rows[n][r])
                    for r, n in _triangle(brute_max_n, low=1)))
 
 
@@ -244,8 +246,9 @@ def _gl_localization_outcomes(max_n: int, seed: int):
     for n in range(max_n + 1):
         for a in qlocal.seeded_param_vectors(n, C_TABLE_SAMPLES, seed + 1000 + n):
             t = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            row = qlocal.gaussian_binomials(n, t)
             for r, total in enumerate(qlocal.localization_sums(n, a, t)):
-                yield (r, n, str(t)), total == qlocal.gaussian_binomial(n, r, t)
+                yield (r, n, str(t)), total == row[r]
 
 
 def check_gl_localization(max_n: int, seed: int) -> CheckResult:
@@ -265,8 +268,8 @@ def _casimir_outcomes():
         # the fundamental weights W_j over one lcm d and the grid points c
         # over one lcm g, as integers: the weight sum_j c_j W_j is an integer
         # combination over g d
-        fund, d = exactnum.integer_scaled(sympair.fundamental_weights(pair))
-        numerators, g = exactnum.integer_scaled(grid)
+        fund, d = exactvalue.integer_scaled(sympair.fundamental_weights(pair))
+        numerators, g = exactvalue.integer_scaled(grid)
         columns = list(zip(*fund))
         # nonnegative combinations of fundamental weights: dominant
         weights = ([sum(map(operator.mul, c, col)) for col in columns] for c in numerators)

@@ -156,8 +156,8 @@ def test_unknown_arguments_are_named(capsys, argv, unknown):
 
 
 def test_uncertified_defect_is_a_domain_error(capsys, monkeypatch):
-    bound = rootsys.witt_index
-    monkeypatch.setattr(rootsys, "witt_index", lambda system: bound(system) + 1)
+    bound = rootsys._witt_bound
+    monkeypatch.setattr(rootsys, "_witt_bound", lambda gram: bound(gram) + 1)
     with pytest.raises(ValueError, match=r"defect of gl\(2, 3\) not certified"):
         rootsys.defect(rootsys.build_root_system("gl", 2, 3))
     code, out, err = run_cli(capsys, "defect", "gl", "2", "3")

@@ -17,6 +17,7 @@ from supervol.exactnum import (
     realified_diagonal_action,
     transpose,
 )
+from supervol.exactvalue import as_fraction, integer_scaled
 
 
 def det_cofactor(m):
@@ -214,7 +215,7 @@ def echelon_rank(m):
     accepts, each row scaled to integers (a positive scale keeps it)."""
     rows = []
     return sum(extend_echelon(rows, [(j, x) for j, x in enumerate(ints) if x])
-               for [ints], _ in (exactnum.integer_scaled([row]) for row in m))
+               for [ints], _ in (integer_scaled([row]) for row in m))
 
 
 @pytest.mark.parametrize("max_den", [1, 9])
@@ -442,7 +443,7 @@ def test_realified_diagonal_action_literal_blocks():
 
 def test_float_input_rejected():
     with pytest.raises(TypeError, match="exact"):
-        exactnum.as_fraction(0.5)
+        as_fraction(0.5)
 
 
 def test_pfaffian_and_det_error_contract():

@@ -12,7 +12,7 @@ from supervol.qlocal import (
     brute_c_table,
     c_bruteforce,
     c_closed,
-    gaussian_binomial,
+    gaussian_binomials,
     gl_localization,
     localization_sum,
     random_params,
@@ -149,32 +149,31 @@ def test_recursion_cases_as_gaussian_binomials(monkeypatch):
     # the table r -> r holds at (1, 1) but breaks C(0, 0) = 1, which the
     # recursion at (1, 1) reads; r = 0 is the c-table check's range
     identity = {(r, n): r for n in range(2) for r in range(n + 1)}
-    assert identity[(1, 1)] == gaussian_binomial(1, 1, -1)
+    assert identity[(1, 1)] == gaussian_binomials(1, -1)[1]
     assert verify.check_c_table(identity).detail.endswith("first (0, 0)")
     # an empty range is not a pass
     monkeypatch.setattr(verify, "CLOSED_FORM_MAX_N", 0)
     assert not verify.check_c_recursions(brute_c_table(1, 0, 3)).passed
-    assert c_closed(2, 4) == gaussian_binomial(4, 2, -1) == 2
+    assert c_closed(2, 4) == gaussian_binomials(4, -1)[2] == 2
     broken = {**brute_c_table(4, 0, 3), (2, 4): 0}
     monkeypatch.setattr(verify, "CLOSED_FORM_MAX_N", 4)
     assert verify.check_c_recursions(broken).detail.endswith("1 failures, first (2, 4)")
-    for r, n in ((-1, 3), (4, 3)):
-        with pytest.raises(ValueError):
-            gaussian_binomial(n, r, -1)
-    assert gaussian_binomial(3, 0, -1) == c_closed(0, 3) == 1  # r = 0 is the base row
+    row = gaussian_binomials(3, -1)
+    assert len(row) == 4
+    assert row[0] == c_closed(0, 3) == 1  # r = 0 is the base row
     # symmetry at (r,n) = (1,3): C(1,3) = (-1)^2 C(2,3)
     assert c_closed(1, 3) == c_closed(2, 3) == 1
-    assert gaussian_binomial(3, 1, -1) == gaussian_binomial(3, 2, -1) == 1
+    assert row[1] == row[2] == 1
     # base case consistent with both recursions
     assert c_closed(1, 2) == c_closed(1, 1) - c_closed(0, 1) == 0
-    assert gaussian_binomial(2, 1, -1) == (gaussian_binomial(1, 0, -1)
-                                           - gaussian_binomial(1, 1, -1)) == 0
+    [one, two] = gaussian_binomials(1, -1), gaussian_binomials(2, -1)
+    assert two[1] == one[0] - one[1] == 0
 
 
 def test_brute_table_is_gaussian_binomial_at_minus_one():
     table = brute_c_table(6, 7, 3)
-    assert all(table[(r, n)] == gaussian_binomial(n, r, -1)
-               for n in range(1, 7) for r in range(1, n + 1))
+    rows = [gaussian_binomials(n, -1) for n in range(7)]
+    assert all(table[(r, n)] == rows[n][r] for n in range(1, 7) for r in range(1, n + 1))
 
 
 def test_all_k_kernel_matches_per_r_sums():
@@ -189,10 +188,10 @@ def test_all_k_kernel_matches_per_r_sums():
         for a, t in itertools.product(vectors, ts):
             sums = qlocal._fixed_point_sums(range(n + 1), validate_params(a), t)
             assert len(sums) == n + 1
+            row = gaussian_binomials(n, t)
             for r, total in enumerate(sums):
                 assert type(total) is Fraction
-                assert total == localization_sum(r, n, a, t) == gaussian_binomial(n, r, t), \
-                    (a, r, t)
+                assert total == localization_sum(r, n, a, t) == row[r], (a, r, t)
 
 
 def test_kernel_sums_any_set_of_counts():
@@ -200,8 +199,8 @@ def test_kernel_sums_any_set_of_counts():
     # and counts inside that range but outside ks get no total
     a = validate_params(MIXED_PARAMS[:7])
     for ks in ((0,), (7,), (0, 7), (3, 1), (2, 4, 5), (6, 2)):
-        assert qlocal._fixed_point_sums(ks, a, Fraction(-1)) == \
-            [gaussian_binomial(7, k, -1) for k in ks]
+        row = gaussian_binomials(7, -1)
+        assert qlocal._fixed_point_sums(ks, a, Fraction(-1)) == [row[k] for k in ks]
 
 
 def test_brute_table_matches_per_r_consensus():
@@ -239,11 +238,21 @@ def test_brute_table_errors():
 
 def test_gaussian_binomial_specialisations():
     for n in range(21):  # every 0 <= r <= n <= 20
-        for r in range(n + 1):
-            assert gaussian_binomial(n, r, -1) == c_closed(r, n)
-            assert gaussian_binomial(n, r, 1) == math.comb(n, r)
-    assert gaussian_binomial(4, 2, 2) == 35
-    assert gaussian_binomial(2, 1, Fraction(1, 2)) == Fraction(3, 2)
+        assert gaussian_binomials(n, -1) == [c_closed(r, n) for r in range(n + 1)]
+        assert gaussian_binomials(n, 1) == [math.comb(n, r) for r in range(n + 1)]
+    assert gaussian_binomials(4, 2)[2] == 35
+    assert gaussian_binomials(2, Fraction(1, 2))[1] == Fraction(3, 2)
+
+
+def test_gaussian_binomial_row_matches_product_formula():
+    # [n r]_t = prod_{i<r} (1 - t^(n-i)) / (1 - t^(i+1)) away from the roots
+    # of unity, a route that shares nothing with the q-Pascal pass
+    for t in (Fraction(0), Fraction(2), Fraction(3, 4), Fraction(-7, 5), Fraction(-3)):
+        for n in range(13):
+            row = gaussian_binomials(n, t)
+            assert all(type(x) is Fraction for x in row)
+            assert row == [math.prod((1 - t ** (n - i)) / (1 - t ** (i + 1)) for i in range(r))
+                           for r in range(n + 1)], (n, t)
 
 
 def test_localization_sum_is_gaussian_binomial():
@@ -253,7 +262,7 @@ def test_localization_sum_is_gaussian_binomial():
         for a in vectors:
             for r in range(n + 1):
                 for t in ts:
-                    assert localization_sum(r, n, a, t) == gaussian_binomial(n, r, t), (a, r, t)
+                    assert localization_sum(r, n, a, t) == gaussian_binomials(n, t)[r], (a, r, t)
 
 
 def test_localization_sum_matches_per_subset_fractions():
@@ -300,17 +309,17 @@ def test_alpha_subset_matches_per_subset_fraction():
 def test_localization_sum_property(nr, t, seed):
     n, r = nr
     [a] = seeded_param_vectors(n, 1, seed)
-    assert localization_sum(r, n, a, t) == gaussian_binomial(n, r, t)
+    assert localization_sum(r, n, a, t) == gaussian_binomials(n, t)[r]
 
 
 def test_localization_sum_and_gaussian_binomial_errors():
+    with pytest.raises(ValueError, match="n >= 0"):
+        gaussian_binomials(-1, 2)
     for r, n in ((-1, 3), (4, 3)):
-        with pytest.raises(ValueError, match="0 <= r <= n"):
-            gaussian_binomial(n, r, 2)
         with pytest.raises(ValueError, match="0 <= r <= n"):
             localization_sum(r, n, seeded_param_vectors(n, 1, 0)[0], 2)
     with pytest.raises(TypeError, match="exact"):
-        gaussian_binomial(4, 2, 0.5)
+        gaussian_binomials(4, 0.5)
     with pytest.raises(TypeError, match="exact"):
         localization_sum(2, 4, [1, 2, 3, 5], 0.5)
     with pytest.raises(ValueError, match="bounded"):
