@@ -14,6 +14,11 @@ attributes at call time, so a verb loads only its own modules (``verify``
 only for ``verify``) and a rebound attribute is seen.  ``VERBS`` is the
 one table of verbs; a query builds the subparser of its own verb alone,
 and help and usage errors use the full parser.
+
+``verify`` calls ``verify.run_forked``: with ``os.fork`` and two usable
+CPUs it runs the c group of checks in a forked child and the volume
+group in this process, else both here; its output is byte for byte
+that of ``verify.run_all``, which always runs in one process.
 """
 
 from __future__ import annotations
@@ -220,8 +225,7 @@ def _cmd_casimir(args):
 def _cmd_verify(args):
     from . import verify
 
-    results = verify.run_all(seed=args.seed, max_n_grass=args.max_n,
-                             max_n_c=args.max_n_c)
+    results = verify.run_forked(args.seed, args.max_n, args.max_n_c)
     passed = sum(1 for r in results if r.passed)
     if args.format == "json":
         for r in results:

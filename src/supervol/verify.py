@@ -7,15 +7,23 @@ every stream covers at least one case and every case holds, and its
 detail reads ``"<scope>; <cases> cases, <failures> failures"``, naming
 the first failing case.  All randomness is driven by the caller's seed,
 so runs are reproducible.
+
+The checks fall into two groups, each with the tables it reads.
+``run_all`` runs both in one process; ``run_forked``, which the CLI
+calls, runs the c group in a forked child beside the volume group and
+returns the same results in the same order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 import operator
+import os
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from . import exactnum, exactvalue, grassvol, qlocal, rootsys, splitting, sympair
 from .grassvol import GrassSpec, VolumeExpr
@@ -39,6 +47,13 @@ GL_MAX_RANK = 4  # the gl(m|n) root systems have m, n <= GL_MAX_RANK
 # Tables that run_all builds once; each sweep reads its bound from the keys.
 Volumes = dict[GrassSpec, VolumeExpr]
 GlSystems = dict[tuple[int, int], rootsys.RootSystem]
+
+# The two groups of checks that run_forked runs in two processes, of about
+# equal cost: the c table's group, with the other subset-sum sweeps, the
+# Pfaffian squares and the sympair sweeps; and the group of the volume
+# table and the gl systems, with every other sweep.  Each table is read
+# by the checks of one group only.
+C_GROUP, VOLUME_GROUP = "c", "volume"
 
 
 class CheckResult(NamedTuple):
@@ -354,32 +369,108 @@ def check_sdim_necessity(volumes: Volumes) -> CheckResult:
                   ((spec, _sdim_necessity_holds(spec)) for spec in volumes))
 
 
-def run_all(seed: int = 0, max_n_grass: int = 6, max_n_c: int = 12) -> list[CheckResult]:
-    """Every named sweep: the tables follow ``max_n_grass`` and ``max_n_c``,
-    and two sweeps follow them up to a cap; every other scope is a constant."""
-    c_table = qlocal.brute_c_table(max_n_c, seed, C_TABLE_SAMPLES)
-    volumes = {spec: grassvol.volume(spec) for spec in _specs(max_n_grass)}
-    systems = {(m, n): rootsys.build_root_system("gl", m, n)
-               for m, n in itertools.product(range(GL_MAX_RANK + 1), repeat=2)}
+def _plan(seed: int, max_n_grass: int,
+          max_n_c: int) -> list[tuple[str, Callable[[], CheckResult]]]:
+    """Every check of ``run_all`` in its order, as ``(group, run)``.  The
+    tables follow ``max_n_grass`` and ``max_n_c``, and two sweeps follow
+    them up to a cap; every other scope is a constant.  A table is built
+    when a check first reads it, and only the checks of one group read it,
+    so a run of both groups in two processes builds each table once."""
+    c_table = functools.cache(lambda: qlocal.brute_c_table(max_n_c, seed, C_TABLE_SAMPLES))
+    volumes = functools.cache(
+        lambda: {spec: grassvol.volume(spec) for spec in _specs(max_n_grass)})
+    systems = functools.cache(
+        lambda: {(m, n): rootsys.build_root_system("gl", m, n)
+                 for m, n in itertools.product(range(GL_MAX_RANK + 1), repeat=2)})
+    c, vol = C_GROUP, VOLUME_GROUP
     return [
-        check_pfaffian_square(seed),
-        check_pfaffian_congruence(seed + 1),
-        check_alpha_agreement(seed + 2),
-        check_defect_table(systems),
-        check_root_system_invariants(systems),
-        check_nonvanishing(volumes),
-        check_volume_symmetry(volumes),
-        check_cross_formula(volumes),
-        check_flag_identity(),
-        check_two_pi_power(volumes),
-        check_c_table(c_table),
-        check_c_recursions(c_table),
-        check_c_vanishing(),
-        check_gl_localization(min(LOCALIZATION_MAX_N, max_n_c), seed),
-        check_casimir_positivity(),
-        check_rho_coefficients(),
-        check_d21a_weights(),
-        check_chains(min(CHAIN_MAX_GL, max_n_grass)),
-        check_predicate_agreement(volumes),
-        check_sdim_necessity(volumes),
+        (c, lambda: check_pfaffian_square(seed)),
+        (vol, lambda: check_pfaffian_congruence(seed + 1)),
+        (vol, lambda: check_alpha_agreement(seed + 2)),
+        (vol, lambda: check_defect_table(systems())),
+        (vol, lambda: check_root_system_invariants(systems())),
+        (vol, lambda: check_nonvanishing(volumes())),
+        (vol, lambda: check_volume_symmetry(volumes())),
+        (vol, lambda: check_cross_formula(volumes())),
+        (vol, check_flag_identity),
+        (vol, lambda: check_two_pi_power(volumes())),
+        (c, lambda: check_c_table(c_table())),
+        (c, lambda: check_c_recursions(c_table())),
+        (c, check_c_vanishing),
+        (c, lambda: check_gl_localization(min(LOCALIZATION_MAX_N, max_n_c), seed)),
+        (c, check_casimir_positivity),
+        (c, check_rho_coefficients),
+        (c, check_d21a_weights),
+        (vol, lambda: check_chains(min(CHAIN_MAX_GL, max_n_grass))),
+        (vol, lambda: check_predicate_agreement(volumes())),
+        (vol, lambda: check_sdim_necessity(volumes())),
     ]
+
+
+def _run_group(plan, group: str) -> list[CheckResult]:
+    return [run() for g, run in plan if g == group]
+
+
+def run_all(seed: int = 0, max_n_grass: int = 6, max_n_c: int = 12) -> list[CheckResult]:
+    """Every named sweep, in this process."""
+    return [run() for _, run in _plan(seed, max_n_grass, max_n_c)]
+
+
+def _report_c_group(plan, read_end: int, write_end: int) -> NoReturn:
+    """The forked child: run the c group, write its results as JSON (or
+    the exception it raised, pickled) to ``write_end`` and exit with 0
+    (or 1), never returning into the caller's code."""
+    status = 2  # nothing reached the pipe
+    try:
+        os.close(read_end)
+        try:
+            data, written = json.dumps(_run_group(plan, C_GROUP)).encode(), 0
+        except Exception as exc:
+            import pickle
+
+            data, written = pickle.dumps(exc), 1
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+        status = written
+    finally:
+        os._exit(status)
+
+
+def run_forked(seed: int, max_n_grass: int, max_n_c: int) -> list[CheckResult]:
+    """``run_all``'s results, with the c group run in a forked child while
+    this process runs the volume group, when ``os.fork`` exists, at least
+    two CPUs are usable and the fork succeeds; otherwise both groups run
+    here.
+
+    An exception raised in the child is raised here with its type and
+    message, and the child has been waited for whatever either group
+    raised.  Forking assumes that this process runs no other thread, as
+    the CLI does not."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        return run_all(seed, max_n_grass, max_n_c)
+    plan = _plan(seed, max_n_grass, max_n_c)
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: both groups run here
+        os.close(read_end)
+        os.close(write_end)
+        return run_all(seed, max_n_grass, max_n_c)
+    if pid == 0:
+        _report_c_group(plan, read_end, write_end)
+    os.close(write_end)
+    with open(read_end, "rb") as pipe:
+        try:
+            own = iter(_run_group(plan, VOLUME_GROUP))
+        finally:
+            data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status == 1:
+        import pickle
+
+        raise pickle.loads(data)
+    if status != 0:
+        raise RuntimeError(f"the forked verify group exited with status {status}")
+    forked = (CheckResult(*fields) for fields in json.loads(data))
+    return [next(forked if group == C_GROUP else own) for group, _ in plan]
