@@ -3,8 +3,9 @@
 
 A Levi subgroup splits in GL(m|n) iff the associated supergrassmannian
 has nonnegative superdimension, and in Q(n) iff r(n-r) is even.  Chains
-of certified inclusions carry recomputable evidence down to the
-conjecturally minimal splitting subgroup.
+of certified inclusions carry recomputable evidence down to the splitting
+subgroup: Q(2)^d (times Q(1) for odd n) in Q(n), minimal up to conjugacy, and
+SL(1|1)^min(m,n) in GL(m|n), whose minimality is conjectural.
 """
 
 from supervol.splitting import GL, Q, is_splitting_levi_gl, is_splitting_levi_q, minimal_chain

@@ -85,8 +85,12 @@ def _canonical_atoms(atoms) -> tuple[tuple[int, int, int], ...]:
 class VolumeExpr(NamedTuple):
     """sign*rational x (2pi)^k x product of classical atoms V(a,b)^e.
 
-    Always stored in canonical form; the zero expression has no power and
-    no atoms, so equality testing is structural.
+    Stored with its atoms merged, sorted and written with 2a <= b (see
+    ``_canonical_atoms``); the zero expression has no power and no atoms.
+    Equality is structural and so stricter than equality of values: with
+    V(a,b) = u(b)/(u(a)u(b-a)), u(k) = vol U(k), both V(1,2)V(2,4) and
+    V(1,3)V(1,4) equal u(4)/(u(1)^2 u(2)), yet they compare unequal.  Atoms
+    over u(k) would make the form canonical (ROADMAP item 3).
     """
 
     coeff: Fraction

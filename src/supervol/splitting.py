@@ -7,13 +7,14 @@ such certified inclusions witness that the bottom subgroup splits in the
 top group (splitting composes along inclusions), and every step carries
 recomputable evidence.
 
-``minimal_chain`` produces the standard chain down to the conjecturally
-minimal splitting subgroup: SL(1|1)^min(m,n) for GL(m|n), and Q(2)^d
-(times Q(1) for odd n) for Q(n).
+``minimal_chain`` produces the standard chain down to Q(2)^d (times Q(1)
+for odd n) for Q(n), which is minimal up to conjugacy, and down to
+SL(1|1)^min(m,n) for GL(m|n), whose minimality is conjectural.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from typing import NamedTuple
 
@@ -25,40 +26,28 @@ RULE_LEVI_Q = "LEVI_Q"
 RULE_ODD_PARTS_EQUAL = "ODD_PARTS_EQUAL"
 RULE_FACTOR_SPLIT = "FACTOR_SPLIT"
 
-Atom = tuple  # ("GL", m, n) | ("SL", m, n) | ("Q", n)
-
-
-def _atom_is_trivial(atom: Atom) -> bool:
-    kind = atom[0]
-    if kind in ("GL", "SL"):
-        return atom[1] == 0 and atom[2] == 0
-    return atom[1] == 0
+Atom = tuple  # ("GL", m, n) | ("SL", m, n) | ("Q", n): a kind and its parameters
 
 
 def _atom_label(atom: Atom) -> str:
-    kind = atom[0]
-    if kind in ("GL", "SL"):
-        return f"{kind}({atom[1]}|{atom[2]})"
-    return f"Q({atom[1]})"
+    kind, *params = atom
+    return f"{kind}({'|'.join(map(str, params))})"
 
 
 def _atom_dims(atom: Atom) -> tuple[int, int]:
-    kind = atom[0]
-    if kind == "GL":
-        m, n = atom[1], atom[2]
-        return m * m + n * n, 2 * m * n
-    if kind == "SL":
-        m, n = atom[1], atom[2]
-        return m * m + n * n - (1 if (m, n) != (0, 0) else 0), 2 * m * n
-    n = atom[1]
-    return n * n, n * n
+    """(even, odd) dimension; SL drops the supertrace, one even dimension."""
+    if atom[0] == "Q":
+        return atom[1] ** 2, atom[1] ** 2
+    kind, m, n = atom
+    return m * m + n * n - (kind == "SL" and (m, n) != (0, 0)), 2 * m * n
 
 
 class GroupDesc(NamedTuple):
     """A finite product of GL(m|n), SL(m|n), and Q(n) factors.
 
-    Trivial factors are dropped and nested products flattened, so equal
-    groups compare equal; the empty product is the trivial group.
+    Trivial factors are dropped and nested products flattened; the empty
+    product is the trivial group.  Equality is ordered: GL(1|1)×GL(2|2)
+    and GL(2|2)×GL(1|1) are the same group but compare unequal.
     """
 
     factors: tuple[Atom, ...]
@@ -77,39 +66,29 @@ class GroupDesc(NamedTuple):
         return sum(_atom_dims(a)[1] for a in self.factors)
 
     def label(self) -> str:
-        if not self.factors:
-            return "1"
-        parts = []
-        for atom in self.factors:
-            if parts and parts[-1][0] == atom:
-                parts[-1][1] += 1
-            else:
-                parts.append([atom, 1])
-        return "×".join(
-            _atom_label(a) + (f"^{k}" if k > 1 else "") for a, k in parts
-        )
+        runs = ((atom, len(list(run))) for atom, run in itertools.groupby(self.factors))
+        return "×".join(_atom_label(a) + (f"^{k}" if k > 1 else "") for a, k in runs) or "1"
 
 
-def _group(*atoms: Atom) -> GroupDesc:
-    return GroupDesc(tuple(a for a in atoms if not _atom_is_trivial(a)))
+def _factor(*atom) -> GroupDesc:
+    """The group of the one factor ``atom``, whose parameters must be >= 0;
+    the trivial group when they are all 0."""
+    params = atom[1:]
+    if min(params) < 0:
+        raise ValueError("negative parameters")
+    return GroupDesc((atom,) if any(params) else ())
 
 
 def GL(m: int, n: int) -> GroupDesc:
-    if m < 0 or n < 0:
-        raise ValueError("negative parameters")
-    return _group(("GL", m, n))
+    return _factor("GL", m, n)
 
 
 def SL(m: int, n: int) -> GroupDesc:
-    if m < 0 or n < 0:
-        raise ValueError("negative parameters")
-    return _group(("SL", m, n))
+    return _factor("SL", m, n)
 
 
 def Q(n: int) -> GroupDesc:
-    if n < 0:
-        raise ValueError("negative parameters")
-    return _group(("Q", n))
+    return _factor("Q", n)
 
 
 def trivial() -> GroupDesc:
@@ -149,6 +128,14 @@ def sdim_necessity(g_dims: tuple[int, int], k_dims: tuple[int, int]) -> bool:
     return (ge - ke) - (go - ko) >= 0
 
 
+# Levi rule -> (factor kind, evidence keys of the split-off block and then of
+# the whole factor, in the criterion's argument order, and the criterion's key).
+_LEVI_RULES = {
+    RULE_LEVI_GL: ("GL", operator.itemgetter("r", "s", "m", "n"), is_splitting_levi_gl, "sdim"),
+    RULE_LEVI_Q: ("Q", operator.itemgetter("r", "n"), is_splitting_levi_q, "parity_product"),
+}
+
+
 class ChainStep(NamedTuple):
     """One certified inclusion sub < sup with its rule and witness data."""
 
@@ -159,54 +146,30 @@ class ChainStep(NamedTuple):
 
     def validate(self) -> bool:
         """Recompute the witness and recheck the rule and bookkeeping."""
-        if self.rule == RULE_LEVI_GL:
-            r, s = self.evidence["r"], self.evidence["s"]
-            m, n = self.evidence["m"], self.evidence["n"]
-            check = is_splitting_levi_gl(r, s, m, n)
-            return (
-                check.ok
-                and check.evidence == self.evidence["sdim"]
-                and _replaces_factor(
-                    self.sup, self.sub, ("GL", m, n),
-                    (("GL", r, s), ("GL", m - r, n - s)),
-                )
-            )
-        if self.rule == RULE_LEVI_Q:
-            r, n = self.evidence["r"], self.evidence["n"]
-            check = is_splitting_levi_q(r, n)
-            return (
-                check.ok
-                and check.evidence == self.evidence["parity_product"]
-                and _replaces_factor(
-                    self.sup, self.sub, ("Q", n), (("Q", r), ("Q", n - r)),
-                )
-            )
+        if self.rule in _LEVI_RULES:
+            kind, params_of, criterion, key = _LEVI_RULES[self.rule]
+            params = params_of(self.evidence)
+            check = criterion(*params)
+            half = len(params) // 2
+            block, whole = params[:half], params[half:]
+            rest = tuple(map(operator.sub, whole, block))
+            return (check.ok and check.evidence == self.evidence[key]
+                    and _replaces_factor(self.sup, self.sub, (kind, *whole),
+                                         _factor(kind, *block) * _factor(kind, *rest)))
         if self.rule == RULE_ODD_PARTS_EQUAL:
-            return (
-                _removed_factors(self.sup, self.sub, _factor_contains) is not None
-                and self.sub.odd_dim == self.sup.odd_dim
-                and self.evidence["odd_dim"] == self.sub.odd_dim
-            )
+            return (_removed_factors(self.sup, self.sub, _factor_contains) is not None
+                    and self.sub.odd_dim == self.sup.odd_dim == self.evidence["odd_dim"])
         if self.rule == RULE_FACTOR_SPLIT:
             removed = _removed_factors(self.sup, self.sub, operator.eq)
-            if removed is None:
-                return False
-            return (
-                all(_atom_dims(a)[1] == 0 for a in removed)
-                and list(self.evidence["removed"]) == [_atom_label(a) for a in removed]
-            )
+            return (removed is not None and all(_atom_dims(a)[1] == 0 for a in removed)
+                    and list(self.evidence["removed"]) == [_atom_label(a) for a in removed])
         return False
 
 
-def _replaces_factor(sup: GroupDesc, sub: GroupDesc, old: Atom,
-                     new: tuple[Atom, ...]) -> bool:
+def _replaces_factor(sup: GroupDesc, sub: GroupDesc, old: Atom, new: GroupDesc) -> bool:
     """Whether sub arises from sup by replacing one ``old`` factor by ``new``."""
-    for i, atom in enumerate(sup.factors):
-        if atom == old:
-            candidate = sup.factors[:i] + new + sup.factors[i + 1:]
-            if _group(*candidate) == sub:
-                return True
-    return False
+    return any(GroupDesc(sup.factors[:i] + new.factors + sup.factors[i + 1:]) == sub
+               for i, atom in enumerate(sup.factors) if atom == old)
 
 
 def _factor_contains(big: Atom, small: Atom) -> bool:
@@ -238,9 +201,7 @@ class SubgroupChain(NamedTuple):
         return self.steps[0].sub if self.steps else self.top
 
     def groups(self) -> list[GroupDesc]:
-        if not self.steps:
-            return [self.top]
-        return [self.steps[0].sub] + [step.sup for step in self.steps]
+        return [self.bottom] + [step.sup for step in self.steps]
 
     def validate(self) -> bool:
         return (self.groups()[-1] == self.top
@@ -248,77 +209,61 @@ class SubgroupChain(NamedTuple):
                 and all(step.validate() for step in self.steps))
 
     def to_payload(self) -> dict:
-        return {
-            "top": self.top.label(),
-            "bottom": self.bottom.label(),
-            "groups": [g.label() for g in self.groups()],
-            "steps": [
-                {
-                    "sub": step.sub.label(),
-                    "sup": step.sup.label(),
-                    "rule": step.rule,
-                    "evidence": step.evidence,
-                }
-                for step in self.steps
-            ],
-        }
+        return {"top": self.top.label(), "bottom": self.bottom.label(),
+                "groups": [g.label() for g in self.groups()],
+                "steps": [{"sub": step.sub.label(), "sup": step.sup.label(),
+                           "rule": step.rule, "evidence": step.evidence}
+                          for step in self.steps]}
 
 
 def _gl_chain(m: int, n: int) -> SubgroupChain:
-    top = GL(m, n)
-    d = min(m, n)
+    """SL(1|1)^d < GL(1|1)^d [< GL(1|1)^d×GL(m-d|n-d)] < ... < GL(m|n), d = min(m, n).
+
+    Levi step k peels GL(1|1) off GL(m-k|n-k) after k earlier peels; for m = n
+    the last peel is skipped, since it would leave GL(1|1) itself.  A purely
+    even GL(m|n) has trivial odd part and goes straight down to 1.
+    """
+    top, d = GL(m, n), min(m, n)
     if d == 0:
-        if (m, n) == (0, 0):
-            return SubgroupChain(top, ())
         step = ChainStep(trivial(), top, RULE_ODD_PARTS_EQUAL, {"odd_dim": 0})
-        return SubgroupChain(top, (step,))
-    cur_m, cur_n, peeled = m, n, 0
-    down: list[ChainStep] = []
-    while min(cur_m, cur_n) >= 1 and (cur_m, cur_n) != (1, 1):
-        sup = power(GL(1, 1), peeled) * GL(cur_m, cur_n)
-        sub = power(GL(1, 1), peeled + 1) * GL(cur_m - 1, cur_n - 1)
-        check = is_splitting_levi_gl(1, 1, cur_m, cur_n)
-        down.append(ChainStep(sub, sup, RULE_LEVI_GL, {
-            "r": 1, "s": 1, "m": cur_m, "n": cur_n, "sdim": check.evidence,
-        }))
-        cur_m, cur_n, peeled = cur_m - 1, cur_n - 1, peeled + 1
-    if (cur_m, cur_n) != (1, 1) and (cur_m, cur_n) != (0, 0):
-        leftover = GL(cur_m, cur_n)
-        down.append(ChainStep(
-            power(GL(1, 1), d), power(GL(1, 1), d) * leftover,
-            RULE_FACTOR_SPLIT, {"removed": [leftover.label()]},
+        return SubgroupChain(top, (step,) if top.factors else ())
+    ones = power(GL(1, 1), d)
+    steps = [ChainStep(power(SL(1, 1), d), ones, RULE_ODD_PARTS_EQUAL, {"odd_dim": 2 * d})]
+    if m != n:
+        leftover = GL(m - d, n - d)
+        steps.append(ChainStep(ones, ones * leftover, RULE_FACTOR_SPLIT,
+                               {"removed": [leftover.label()]}))
+    for k in reversed(range(d - (m == n))):
+        a, b = m - k, n - k
+        steps.append(ChainStep(
+            power(GL(1, 1), k + 1) * GL(a - 1, b - 1), power(GL(1, 1), k) * GL(a, b),
+            RULE_LEVI_GL,
+            {"r": 1, "s": 1, "m": a, "n": b, "sdim": is_splitting_levi_gl(1, 1, a, b).evidence},
         ))
-    down.append(ChainStep(
-        power(SL(1, 1), d), power(GL(1, 1), d),
-        RULE_ODD_PARTS_EQUAL, {"odd_dim": 2 * d},
-    ))
-    return SubgroupChain(top, tuple(reversed(down)))
+    return SubgroupChain(top, tuple(steps))
 
 
 def _q_chain(n: int) -> SubgroupChain:
-    top = Q(n)
-    down: list[ChainStep] = []
-    cur, peeled = n, 0
-    while cur >= 3:
-        sup = power(Q(2), peeled) * Q(cur)
-        sub = power(Q(2), peeled + 1) * Q(cur - 2)
-        check = is_splitting_levi_q(2, cur)
-        down.append(ChainStep(sub, sup, RULE_LEVI_Q, {
-            "r": 2, "n": cur, "parity_product": check.evidence,
-        }))
-        cur, peeled = cur - 2, peeled + 1
-    return SubgroupChain(top, tuple(reversed(down)))
+    """Q(2)^d [×Q(1)] < ... < Q(n): Levi step k peels Q(2) off Q(n-2k) while
+    n-2k >= 3."""
+    return SubgroupChain(Q(n), tuple(
+        ChainStep(power(Q(2), k + 1) * Q(n - 2 * k - 2), power(Q(2), k) * Q(n - 2 * k),
+                  RULE_LEVI_Q,
+                  {"r": 2, "n": n - 2 * k,
+                   "parity_product": is_splitting_levi_q(2, n - 2 * k).evidence})
+        for k in reversed(range((n - 1) // 2))
+    ))
 
 
 def minimal_chain(group: GroupDesc) -> SubgroupChain:
-    """Certified chain from the conjecturally minimal splitting subgroup
-    up to the given GL(m|n) or Q(n); every step revalidates on demand."""
-    if len(group.factors) == 1 and group.factors[0][0] == "GL":
-        _, m, n = group.factors[0]
-        return _gl_chain(m, n)
-    if len(group.factors) == 1 and group.factors[0][0] == "Q":
-        return _q_chain(group.factors[0][1])
-    if not group.factors:
-        return SubgroupChain(group, ())
+    """Certified chain up to the given GL(m|n) or Q(n) from its splitting
+    subgroup SL(1|1)^min(m,n), conjecturally minimal, or Q(2)^d(×Q(1)),
+    minimal; every step revalidates on demand."""
+    match group.factors:
+        case (("GL", m, n),):
+            return _gl_chain(m, n)
+        case (("Q", n),):
+            return _q_chain(n)
+        case ():
+            return SubgroupChain(group, ())
     raise ValueError(f"unsupported family for chain construction: {group.label()}")
-

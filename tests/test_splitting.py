@@ -169,6 +169,24 @@ def test_chain_validation_catches_tampering():
         assert not forged.validate()
         assert not splitting.SubgroupChain(Q(2), (forged,)).validate()
 
+    # a factor split may drop only purely even factors, must name exactly
+    # those, and keeps the rest of sup in order
+    honest = ChainStep(GL(1, 1), GL(1, 1) * GL(2, 0), RULE_FACTOR_SPLIT,
+                       {"removed": ["GL(2|0)"]})
+    assert honest.validate()
+    for sub, sup, removed in ((GL(2, 0), GL(1, 1) * GL(2, 0), ["GL(1|1)"]),
+                              (GL(1, 1), GL(1, 1) * GL(2, 0), ["GL(3|0)"]),
+                              (GL(1, 1), GL(1, 1) * GL(2, 0), []),
+                              (GL(1, 1) * GL(3, 0), GL(1, 1) * GL(2, 0), ["GL(2|0)"])):
+        forged = ChainStep(sub, sup, RULE_FACTOR_SPLIT, {"removed": removed})
+        assert not forged.validate()
+        assert not splitting.SubgroupChain(sup, (forged,)).validate()
+
+    # a step under a rule that no validator knows certifies nothing
+    for step in minimal_chain(GL(2, 1)).steps:
+        assert step.validate()
+        assert not step._replace(rule="LEVI_SL").validate()
+
 
 def test_sdim_necessity_examples():
     assert sdim_necessity((5, 5), (5, 5))
