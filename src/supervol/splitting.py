@@ -209,11 +209,20 @@ class SubgroupChain(NamedTuple):
                 and all(step.validate() for step in self.steps))
 
     def to_payload(self) -> dict:
-        return {"top": self.top.label(), "bottom": self.bottom.label(),
-                "groups": [g.label() for g in self.groups()],
-                "steps": [{"sub": step.sub.label(), "sup": step.sup.label(),
-                           "rule": step.rule, "evidence": step.evidence}
-                          for step in self.steps]}
+        return {
+            "top": self.top.label(),
+            "bottom": self.bottom.label(),
+            "groups": [g.label() for g in self.groups()],
+            "steps": [
+                {
+                    "sub": step.sub.label(),
+                    "sup": step.sup.label(),
+                    "rule": step.rule,
+                    "evidence": step.evidence,
+                }
+                for step in self.steps
+            ],
+        }
 
 
 def _gl_chain(m: int, n: int) -> SubgroupChain:
