@@ -6,18 +6,11 @@ columns (argparse wraps its help to the terminal).  Run this file as a
 script to record the lines again: ``PYTHONPATH=src python tests/test_cli_usage.py``.
 """
 
-import contextlib
-import io
-import json
-import os
-from pathlib import Path
-
 import pytest
 
-from supervol import cli
+from cli_golden import load, record, run
 
-GOLDEN = Path(__file__).parent / "data" / "cli_usage.jsonl"
-COLUMNS = "80"
+GOLDEN = "cli_usage.jsonl"
 VERBS = ["volume", "qvolume", "sdim", "dims", "defect", "c-table", "localize",
          "splitting", "chain", "casimir", "verify"]
 
@@ -65,33 +58,14 @@ CASES = [
 ]
 
 
-def run(argv: list[str]) -> dict:
-    """Exit code, stdout and stderr of ``cli.main(argv)``."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-
-
-def golden() -> dict[tuple[str, ...], dict]:
-    lines = (json.loads(line) for line in GOLDEN.read_text().splitlines())
-    return {tuple(case["argv"]): case for case in lines}
-
-
 def test_golden_covers_every_case():
-    assert list(golden()) == [tuple(argv) for argv in CASES]
+    assert list(load(GOLDEN)) == [tuple(argv) for argv in CASES]
 
 
 @pytest.mark.parametrize("argv", CASES, ids=[" ".join(argv) or "(none)" for argv in CASES])
-def test_usage_output_is_unchanged(argv, monkeypatch):
-    monkeypatch.setenv("COLUMNS", COLUMNS)
-    assert run(argv) == golden()[tuple(argv)]
+def test_usage_output_is_unchanged(argv):
+    assert run(argv) == load(GOLDEN)[tuple(argv)]
 
 
 if __name__ == "__main__":
-    os.environ["COLUMNS"] = COLUMNS
-    GOLDEN.write_text("".join(json.dumps(run(argv), ensure_ascii=False) + "\n"
-                              for argv in CASES))
+    record(GOLDEN, CASES)
