@@ -13,12 +13,9 @@ Each handler imports the modules it uses, and calls them as module
 attributes at call time, so a verb loads only its own modules (``verify``
 only for ``verify``) and a rebound attribute is seen.  ``VERBS`` is the
 one table of verbs; a query builds the subparser of its own verb alone,
-and help and usage errors use the full parser.
-
-``verify`` calls ``verify.run_forked``: with ``os.fork`` and two usable
-CPUs it runs the c group of checks in a forked child and the volume
-group in this process, else both here; its output is byte for byte
-that of ``verify.run_all``, which always runs in one process.
+and help and usage errors use the full parser.  ``verify`` prints the
+results of ``verify.run_forked``, which says how the checks are split
+between two processes.
 """
 
 from __future__ import annotations
@@ -37,21 +34,27 @@ DEFAULT_SEED = 20240001
 # imports no kernel module.
 MAX_N_GRASS = 16
 MAX_N_C = 14
-# Parameters each family of a verb takes; another count exits 2.
+# Parameters each family of a verb takes; another count exits 2.  Copied,
+# like MAX_N_C, from the arities of ``splitting.LEVI_CRITERIA`` and of
+# ``splitting.GL``/``splitting.Q``.
 PARAM_COUNTS = {
     "defect": {"gl": 2, "sl": 2, "osp": 2, "d21a": 1, "g3": 0, "f4": 0},
     "splitting": {"gl": 4, "q": 2},
     "chain": {"GL": 2, "Q": 1},
 }
+# Family of ``splitting`` -> its rule and the text label of its evidence.
+SPLITTING_RULES = {"gl": ("levi-splitting-iff-sdim-nonnegative", "sdim"),
+                   "q": ("levi-splitting-iff-parity-product-even", "r(n-r)")}
 # argparse takes a token that starts with "-" for an option unless it looks
 # like a negative number.  Every value here whose "-" is followed by a digit
 # or by ".digit" is one (-3, -1/2, -.5, -1,2), and no option starts so.
 NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 
 
-def _emit(args, command: str, params: dict, result, rules: list[str], text: str):
+def _emit(args, params: dict, result, rules: list[str], text: str):
+    """Print the envelope of ``args.verb``, or ``text``."""
     if args.format == "json":
-        envelope = {"command": command, "params": params,
+        envelope = {"command": args.verb, "params": params,
                     "result": result, "rules": rules}
         print(json.dumps(envelope, sort_keys=True))
     else:
@@ -73,7 +76,7 @@ def _cmd_volume(args):
     vol = grassvol.volume(spec)
     rules = (["negative-superdimension-vanishing"] if vol.is_zero()
              else ["signed-binomial-volume-formula"])
-    _emit(args, "volume", params, vol.to_payload(), rules, vol.render())
+    _emit(args, params, vol.to_payload(), rules, vol.render())
 
 
 def _cmd_qvolume(args):
@@ -92,8 +95,7 @@ def _cmd_qvolume(args):
         result["brute_force_consensus"] = str(report.consensus)
         result["brute_force_agrees_with_closed_form"] = agrees
         rules.append("localization-subset-sum-bruteforce")
-    _emit(args, "qvolume", params, result, rules,
-          f"C({args.r},{args.n}) = {c}; volume = {vol.render()}")
+    _emit(args, params, result, rules, f"C({args.r},{args.n}) = {c}; volume = {vol.render()}")
     return 0 if agrees else 1
 
 
@@ -102,7 +104,7 @@ def _cmd_sdim(args):
 
     spec, params = _grass(args)
     value = grassvol.sdim(spec)
-    _emit(args, "sdim", params, value, ["superdimension-product-formula"], str(value))
+    _emit(args, params, value, ["superdimension-product-formula"], str(value))
 
 
 def _cmd_dims(args):
@@ -110,7 +112,7 @@ def _cmd_dims(args):
 
     spec, params = _grass(args)
     d = grassvol.dims(spec)
-    _emit(args, "dims", params, {"even": d.even, "odd": d.odd}, ["dimension-formula"],
+    _emit(args, params, {"even": d.even, "odd": d.odd}, ["dimension-formula"],
           f"({d.even}|{d.odd})")
 
 
@@ -120,7 +122,7 @@ def _cmd_defect(args):
     system = rootsys.build_root_system(args.family, *args.params)
     # defect raises unless its greedy pass reaches the Witt index
     value = rootsys.defect(system)
-    _emit(args, "defect", {"family": args.family, "params": [str(p) for p in args.params]},
+    _emit(args, {"family": args.family, "params": [str(p) for p in args.params]},
           value, ["witt-index-bound"], str(value))
 
 
@@ -142,7 +144,7 @@ def _cmd_c_table(args):
         rows.append({"brute_force_agrees": agrees})
         lines.append(f"brute force agrees: {agrees}")
         rules.append("localization-subset-sum-bruteforce")
-    _emit(args, "c-table", {"nmax": args.nmax}, rows, rules, "\n".join(lines))
+    _emit(args, {"nmax": args.nmax}, rows, rules, "\n".join(lines))
     return 0 if agrees else 1
 
 
@@ -153,10 +155,8 @@ def _cmd_localize(args):
     sums = [qlocal.gl_localization(args.r, args.n, a) for a in vectors]
     expected = math.comb(args.n, args.r)
     agrees = all(s == expected for s in sums)
-    _emit(args, "localize",
-          {"r": args.r, "n": args.n, "samples": args.samples, "seed": args.seed},
-          {"sum": str(sums[0]),
-           "fixed_points": expected, "all_samples_agree": agrees},
+    _emit(args, {"r": args.r, "n": args.n, "samples": args.samples, "seed": args.seed},
+          {"sum": str(sums[0]), "fixed_points": expected, "all_samples_agree": agrees},
           ["equal-rank-fixed-point-count"],
           f"localization sum = {sums[0]} over {expected} fixed points "
           f"({args.samples} parameter samples agree: {agrees})")
@@ -166,27 +166,17 @@ def _cmd_localize(args):
 def _cmd_splitting(args):
     from . import splitting
 
-    if args.family == "gl":
-        check = splitting.is_splitting_levi_gl(*args.params)
-        params = dict(zip(("r", "s", "m", "n"), args.params))
-        rules = ["levi-splitting-iff-sdim-nonnegative"]
-        text = (f"splitting: {check.ok} (sdim = {check.evidence})")
-        result = {"splitting": check.ok, "sdim": check.evidence}
-    else:
-        check = splitting.is_splitting_levi_q(*args.params)
-        params = dict(zip(("r", "n"), args.params))
-        rules = ["levi-splitting-iff-parity-product-even"]
-        text = f"splitting: {check.ok} (r(n-r) = {check.evidence})"
-        result = {"splitting": check.ok, "parity_product": check.evidence}
-    _emit(args, "splitting", params, result, rules, text)
+    _, names, criterion, key = splitting.LEVI_CRITERIA[args.family.upper()]
+    rule, label = SPLITTING_RULES[args.family]
+    check = criterion(*args.params)
+    _emit(args, dict(zip(names, args.params)), {"splitting": check.ok, key: check.evidence},
+          [rule], f"splitting: {check.ok} ({label} = {check.evidence})")
 
 
 def _cmd_chain(args):
     from . import splitting
 
-    family = splitting.GL if args.family == "GL" else splitting.Q
-    group = family(*args.params)
-    chain = splitting.minimal_chain(group)
+    chain = splitting.minimal_chain(getattr(splitting, args.family)(*args.params))
     if not chain.validate():
         raise ValueError("constructed chain failed validation")
     payload = chain.to_payload()
@@ -195,27 +185,21 @@ def _cmd_chain(args):
     for step in chain.steps:
         lines.append(f"  {step.sub.label()} ⊂ {step.sup.label()}"
                      f"  [{step.rule}: {step.evidence}]")
-    _emit(args, "chain", {"family": args.family,
-                          "params": list(args.params)},
+    _emit(args, {"family": args.family, "params": list(args.params)},
           payload, ["certified-inclusion-chain"], "\n".join(lines))
 
 
 def _cmd_casimir(args):
     from . import sympair
 
-    if args.pair == "osp":
-        pair = sympair.osp_pair(args.m, args.n)
-    elif args.pair == "g12":
-        pair = sympair.g12_pair()
-    else:
-        pair = sympair.f31_pair()
+    pair = (sympair.osp_pair(args.m, args.n) if args.pair == "osp"
+            else getattr(sympair, f"{args.pair}_pair")())
     value = sympair.casimir_eigenvalue(pair, args.weight)
     # the hypothesis of sympair.positivity_check, on the value just computed
     if not any(args.weight):
         raise ValueError("excluded by hypothesis")
     positive = value > 0
-    _emit(args, "casimir",
-          {"pair": pair.name, "weight": [str(w) for w in args.weight]},
+    _emit(args, {"pair": pair.name, "weight": [str(w) for w in args.weight]},
           {"eigenvalue": str(value), "positive": positive,
            "dominant": pair.is_dominant(args.weight)},
           ["casimir-eigenvalue-quadratic-form"],
@@ -254,9 +238,12 @@ def _int_in_range(low: int, high: int | None = None):
     return parse
 
 
-def _grass_args(p):
-    for arg in ("r", "s", "m", "n"):
-        p.add_argument(arg, type=int)
+def _ints(*names):
+    """The adder of the int positionals ``names``, in their order."""
+    def add(p):
+        for name in names:
+            p.add_argument(name, type=int)
+    return add
 
 
 def _sample_args(p):
@@ -265,8 +252,7 @@ def _sample_args(p):
 
 
 def _qvolume_args(p):
-    p.add_argument("r", type=int)
-    p.add_argument("n", type=int)
+    _ints("r", "n")(p)
     p.add_argument("--brute", action="store_true",
                    help="also run the brute-force subset sum")
     _sample_args(p)
@@ -290,8 +276,7 @@ def _localize_args(p):
                      "fixed-point term is exactly 1, so it counts the binom(n, r) "
                      "fixed points and 'all_samples_agree' checks only their "
                      "enumeration.")
-    p.add_argument("r", type=int)
-    p.add_argument("n", type=int)
+    _ints("r", "n")(p)
     _sample_args(p)
 
 
@@ -326,11 +311,11 @@ def _verify_args(p):
 # Every verb in the order of the usage line: its handler, its help and the
 # function that adds its arguments to its subparser.
 VERBS = {
-    "volume": (_cmd_volume, "exact volume of Gr(r|s, m|n)", _grass_args),
+    "volume": (_cmd_volume, "exact volume of Gr(r|s, m|n)", _ints("r", "s", "m", "n")),
     "qvolume": (_cmd_qvolume, "exact volume of the Q-grassmannian QGr(r, n)",
                 _qvolume_args),
-    "sdim": (_cmd_sdim, "superdimension of Gr(r|s, m|n)", _grass_args),
-    "dims": (_cmd_dims, "even|odd dimensions of Gr(r|s, m|n)", _grass_args),
+    "sdim": (_cmd_sdim, "superdimension of Gr(r|s, m|n)", _ints("r", "s", "m", "n")),
+    "dims": (_cmd_dims, "even|odd dimensions of Gr(r|s, m|n)", _ints("r", "s", "m", "n")),
     "defect": (_cmd_defect, "defect of a root system family", _defect_args),
     "c-table": (_cmd_c_table, "closed-form localization constants C(r, n)",
                 _c_table_args),

@@ -128,12 +128,15 @@ def sdim_necessity(g_dims: tuple[int, int], k_dims: tuple[int, int]) -> bool:
     return (ge - ke) - (go - ko) >= 0
 
 
-# Levi rule -> (factor kind, evidence keys of the split-off block and then of
-# the whole factor, in the criterion's argument order, and the criterion's key).
-_LEVI_RULES = {
-    RULE_LEVI_GL: ("GL", operator.itemgetter("r", "s", "m", "n"), is_splitting_levi_gl, "sdim"),
-    RULE_LEVI_Q: ("Q", operator.itemgetter("r", "n"), is_splitting_levi_q, "parity_product"),
+# Factor kind -> (Levi rule, the criterion's parameter names: those of the
+# split-off block and then those of the whole factor, the criterion, and the
+# name of the value it returns as evidence).  A Levi step's evidence holds
+# the parameters and the value under these names; the CLI reads them too.
+LEVI_CRITERIA = {
+    "GL": (RULE_LEVI_GL, ("r", "s", "m", "n"), is_splitting_levi_gl, "sdim"),
+    "Q": (RULE_LEVI_Q, ("r", "n"), is_splitting_levi_q, "parity_product"),
 }
+_LEVI_KINDS = {rule: kind for kind, (rule, *_) in LEVI_CRITERIA.items()}
 
 
 class ChainStep(NamedTuple):
@@ -146,9 +149,10 @@ class ChainStep(NamedTuple):
 
     def validate(self) -> bool:
         """Recompute the witness and recheck the rule and bookkeeping."""
-        if self.rule in _LEVI_RULES:
-            kind, params_of, criterion, key = _LEVI_RULES[self.rule]
-            params = params_of(self.evidence)
+        if self.rule in _LEVI_KINDS:
+            kind = _LEVI_KINDS[self.rule]
+            _, names, criterion, key = LEVI_CRITERIA[kind]
+            params = operator.itemgetter(*names)(self.evidence)
             check = criterion(*params)
             half = len(params) // 2
             block, whole = params[:half], params[half:]

@@ -23,7 +23,7 @@ import operator
 import os
 import random
 from fractions import Fraction
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, NamedTuple
 
 from . import exactnum, exactvalue, grassvol, qlocal, rootsys, splitting, sympair
 from .grassvol import GrassSpec, VolumeExpr
@@ -406,61 +406,46 @@ def run_all(seed: int = 0, max_n_grass: int = 6, max_n_c: int = 12) -> list[Chec
     return [run() for _, run in _plan(seed, max_n_grass, max_n_c)]
 
 
-def _report_c_group(plan, read_end: int, write_end: int) -> NoReturn:
-    """The forked child: run the c group, write its results as JSON (or
-    the exception it raised, pickled) to ``write_end`` and exit with 0
-    (or 1), never returning into the caller's code."""
-    status = 2  # nothing reached the pipe
-    try:
-        os.close(read_end)
-        try:
-            data, written = json.dumps(_run_group(plan, C_GROUP)).encode(), 0
-        except Exception as exc:
-            import pickle
-
-            data, written = pickle.dumps(exc), 1
-        with open(write_end, "wb") as pipe:
-            pipe.write(data)
-        status = written
-    finally:
-        os._exit(status)
-
-
 def run_forked(seed: int, max_n_grass: int, max_n_c: int) -> list[CheckResult]:
     """``run_all``'s results, with the c group run in a forked child while
-    this process runs the volume group, when ``os.fork`` exists, at least
-    two CPUs are usable and the fork succeeds; otherwise both groups run
-    here.
+    this process runs the volume group.
 
-    An exception raised in the child is raised here with its type and
-    message, and the child has been waited for whatever either group
-    raised.  Forking assumes that this process runs no other thread, as
-    the CLI does not."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2):
-        return run_all(seed, max_n_grass, max_n_c)
+    The child writes its results as JSON and exits 0, or exits with
+    another status.  When no child starts (no ``os.fork``, one usable
+    CPU, a failed fork) or the child does not exit 0, this process runs
+    the c group itself.  Its checks are seeded, so an exception the child
+    raised is raised here again with its type and args, at the cost of a
+    second run of the group.  The child has been waited for whatever
+    either group raised.  Forking assumes that this process runs no other
+    thread, as the CLI does not."""
     plan = _plan(seed, max_n_grass, max_n_c)
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: both groups run here
-        os.close(read_end)
-        os.close(write_end)
-        return run_all(seed, max_n_grass, max_n_c)
-    if pid == 0:
-        _report_c_group(plan, read_end, write_end)
-    os.close(write_end)
-    with open(read_end, "rb") as pipe:
+    pid = None
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        read_end, write_end = os.pipe()
         try:
-            own = iter(_run_group(plan, VOLUME_GROUP))
-        finally:
-            data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status == 1:
-        import pickle
-
-        raise pickle.loads(data)
-    if status != 0:
-        raise RuntimeError(f"the forked verify group exited with status {status}")
-    forked = (CheckResult(*fields) for fields in json.loads(data))
+            pid = os.fork()
+        except OSError:  # no process to spare
+            os.close(read_end)
+        if pid == 0:  # the child never returns into the caller's code
+            status = 1
+            try:
+                os.close(read_end)
+                with open(write_end, "w") as pipe:
+                    json.dump(_run_group(plan, C_GROUP), pipe)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+    forked = None
+    try:
+        own = iter(_run_group(plan, VOLUME_GROUP))
+    finally:
+        if pid:
+            with open(read_end) as pipe:
+                data = pipe.read()
+            if os.waitpid(pid, 0)[1] == 0:
+                forked = (CheckResult(*fields) for fields in json.loads(data))
+    if forked is None:  # no child, or one that did not report
+        forked = iter(_run_group(plan, C_GROUP))
     return [next(forked if group == C_GROUP else own) for group, _ in plan]

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import itertools
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supervol import cli, qlocal, rootsys, sympair
+from supervol import cli, qlocal, rootsys, splitting, sympair
 from supervol.grassvol import GrassSpec, VolumeExpr, volume
 from supervol.schema import ENVELOPE_SCHEMA, VOLUME_EXPR_SCHEMA
 
@@ -188,6 +189,17 @@ def test_c_table_brute_reaches_the_subset_sum_bound(monkeypatch):
 def test_cli_subset_sum_bound_is_qlocal_bound():
     # cli keeps its own copy so that parsing imports no kernel module
     assert cli.MAX_N_C == qlocal.MAX_N
+
+
+def test_cli_parameter_counts_are_the_library_arities():
+    # copies too, for the same reason: the splitting criteria's parameter
+    # names, and the arities of the chain families
+    assert cli.PARAM_COUNTS["splitting"] == {
+        kind.lower(): len(names) for kind, (_, names, *_) in splitting.LEVI_CRITERIA.items()}
+    assert set(cli.SPLITTING_RULES) == set(cli.PARAM_COUNTS["splitting"])
+    assert cli.PARAM_COUNTS["chain"] == {
+        family: len(inspect.signature(getattr(splitting, family)).parameters)
+        for family in ("GL", "Q")}
 
 
 def test_localize():

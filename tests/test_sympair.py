@@ -15,6 +15,7 @@ from supervol.sympair import (
     gram_positive_definite,
     osp_pair,
     positivity_check,
+    RestrictedPair,
 )
 
 
@@ -187,3 +188,11 @@ def test_d21a_weight_values():
 def test_d21a_in_a_star_iff_l_at_most_one():
     for l in range(101):
         assert d21a_in_a_star(l) == (l <= 1)
+
+
+def test_positivity_check_at_eigenvalue_one():
+    # No built-in pair gives an integer numerator of 1, so only this pair
+    # tells "> 0" from "> 1" in positivity_checks.
+    unit = RestrictedPair("unit", ((Fraction(1),),), (Fraction(0),))
+    assert casimir_eigenvalue(unit, (1,)) == 1
+    assert positivity_check(unit, (1,)) is True

@@ -162,3 +162,38 @@ def test_a_failed_fork_runs_both_groups_here(monkeypatch, forks):
     for fd in pipes:  # both ends are closed
         with pytest.raises(OSError):
             os.fstat(fd)
+
+
+def test_a_child_that_dies_without_reporting_is_replaced_here(monkeypatch, forks):
+    parent = os.getpid()
+    real = verify.check_c_vanishing
+
+    def dies_in_the_child():
+        if os.getpid() != parent:
+            os._exit(9)
+        return real()
+
+    monkeypatch.setattr(verify, "check_c_vanishing", dies_in_the_child)
+    assert verify.run_forked(1, 2, 3) == verify.run_all(1, 2, 3)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_parent_runs_no_c_check_when_the_child_reports(monkeypatch, forks):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in C_CHECKS:
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    forked = verify.run_forked(1, 2, 3)
+    assert len(forks) == 1
+    assert calls == []
+    # the counters count in this process
+    assert forked == verify.run_all(1, 2, 3)
+    assert sorted(calls) == sorted(C_CHECKS)
