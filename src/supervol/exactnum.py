@@ -9,9 +9,10 @@ normalize again.  Determinants and Pfaffians
 come from fraction-free kernels: the matrix is scaled to integers once
 by an lcm of its denominators, and every elimination step divides
 exactly by the previous pivot, so the inner loops do integer arithmetic
-only.  One Bareiss elimination serves ``det``, and its skew analogue
-serves ``pfaffian``.  ``mat_mul`` scales each operand to integers once,
-takes integer dot products and makes one ``Fraction`` per entry.
+only.  One Bareiss elimination, ``_det`` on one ``integer_scaled``
+matrix, serves ``det``, and its skew analogue serves ``pfaffian``.
+``mat_mul`` scales each operand to integers once, takes integer dot
+products and makes one ``Fraction`` per entry.
 Symmetric congruence elimination (``integer_inertia``, behind the
 validating ``inertia``) gives the inertia of a quadratic form.
 ``sparse_form`` is the one evaluation of a bilinear form v^T * G * w, on
@@ -120,44 +121,6 @@ def form(gram, v, w) -> int | Fraction:
                        [(j, y) for j, y in enumerate(ww) if y])
 
 
-def _echelon(m: Matrix) -> tuple[int, int, int]:
-    """Bareiss' fraction-free row echelon: (rank, last pivot, scale).
-
-    Each row is scaled to integers by the lcm of its denominators; scale
-    is the product of these lcms.  Pivot search and row swaps are those of
-    Gaussian elimination.  With pivot p in the top row, every row below
-    becomes row[c] = (p * row[c] - f * top[c]) // prev, where f is the
-    row's entry in the pivot column and prev the previous pivot.  By
-    Sylvester's identity each entry is then a minor of the scaled matrix,
-    so the division is exact, and for a square matrix of full rank the
-    last pivot, signed by the swaps, is the determinant of the scaled
-    matrix (Bareiss 1968).
-    """
-    rows, scale = [], 1
-    for row in m:
-        [ints], d = integer_scaled([row])
-        rows.append(ints)
-        scale *= d
-    ncols = len(rows[0]) if rows else 0
-    rank, sign, prev = 0, 1, 1
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            sign = -sign
-        top = rows[rank][col:]
-        p = top[0]
-        for row in rows[rank + 1:]:
-            f = row[col]
-            if f or p != prev:
-                row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], top)]
-        prev = p
-        rank += 1
-    return rank, sign * prev, scale
-
-
 def extend_echelon(rows: list, v) -> bool:
     """Append the integer row v, given by its support (its nonzero
     coordinates as pairs (i, x)), to the echelon ``rows`` when it is
@@ -195,21 +158,46 @@ def extend_echelon(rows: list, v) -> bool:
 
 
 def _det(m: Matrix) -> Fraction:
+    """Bareiss' fraction-free elimination on m scaled to integers by the
+    lcm d of its denominators.
+
+    Pivot search and row swaps are those of Gaussian elimination.  With
+    pivot p in the top row, every row below becomes
+    row[c] = (p * row[c] - f * top[c]) // prev, where f is the row's entry
+    in the pivot column and prev the previous pivot.  By Sylvester's
+    identity each entry is then a minor of the scaled matrix, so the
+    division is exact, and the last pivot, signed by the swaps, is its
+    determinant d^n * det(m) (Bareiss 1968).  A column with no pivot
+    makes the determinant 0.
+    """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    r, last, scale = _echelon(m)
-    return Fraction(last, scale) if r == n else Fraction(0)
+    rows, d = integer_scaled(m)
+    sign, prev = 1, 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            sign = -sign
+        top = rows[col][col:]
+        p = top[0]
+        for row in rows[col + 1:]:
+            f = row[col]
+            if f or p != prev:
+                row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], top)]
+        prev = p
+    return Fraction(sign * prev, d ** n)
 
 
 def det(m) -> Fraction:
     """Exact determinant by Bareiss' fraction-free elimination.
 
-    The rows are scaled to integers, every step divides exactly by the
-    previous pivot, and the determinant is the signed last pivot over the
-    product of the row scales.
+    The matrix is scaled to integers once, by the lcm d of its
+    denominators, every step divides exactly by the previous pivot, and
+    the determinant is the signed last pivot over d^n.
     """
     return _det(mat(m))
 

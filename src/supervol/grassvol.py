@@ -5,11 +5,14 @@ superdimension (r-s)((m-r)-(n-s)) is negative; otherwise it equals a
 signed binomial times a power of 2pi times an opaque classical volume
 atom V(a, b) (the invariant volume of the ordinary Grassmannian of
 a-planes in b-space, never evaluated numerically).  2pi is a formal
-symbol throughout, so every result is exact and equality is structural.
+symbol throughout, so every result is exact.
 
-Atom rewriting uses only V(0, b) = V(b, b) = 1 and the complement
-duality V(a, b) = V(b-a, b); classical volumes are otherwise left
-untouched, since no normalization for them is ever needed.
+Products of atoms have one normal form.  With u(k) = vol U(k) and
+u(0) = 1, V(a, b) = u(b) / (u(a) u(b-a)) (Macdonald 1980), so a product
+of atoms is a monomial in the u(k), and two products are equal exactly
+when their monomials are.  ``_canonical_atoms`` reads each monomial back
+as one product of atoms, so equal values compare equal; the u(k)
+themselves are never evaluated.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ class GrassSpec(_GrassFields):
     __slots__ = ()
 
     def __new__(cls, r: int, s: int, m: int, n: int):
+        if not (type(r) is type(s) is type(m) is type(n) is int):
+            raise TypeError("GrassSpec fields must be ints")
         if not (0 <= r <= m and 0 <= s <= n):
             raise ValueError("require 0 <= r <= m and 0 <= s <= n")
         return super().__new__(cls, r, s, m, n)
@@ -68,29 +73,49 @@ def sdim(spec: GrassSpec) -> int:
 
 
 def _canonical_atoms(atoms) -> tuple[tuple[int, int, int], ...]:
-    """Merge ``(a, b, e)`` entries in one pass: drop V(0, b) = V(b, b) = 1, rewrite
-    V(a, b) = V(b-a, b) so that 2a <= b, validate each atom, sort the nonzero ones."""
-    merged: dict[tuple[int, int], int] = {}
+    """The normal form of a product of atoms ``(a, b, e)``, each V(a, b)^e.
+
+    Each atom is validated, and V(a, b)^e = u(b)^e / (u(a) u(b-a))^e adds
+    e to the exponent of u(b) and -e to those of u(a) and u(b-a); with
+    u(0) = 1, V(0, b) = V(b, b) = 1 adds nothing.  The atoms are then read
+    back from the top: b is the largest k with a nonzero exponent e, and a
+    the least k whose exponent has the other sign, which exists because
+    every atom has weight b - a - (b-a) = 0; V(min(a, b-a), b)^e is
+    emitted and subtracted.  Each step clears u(b) and changes only
+    smaller k, so the result, sorted, depends only on the monomial and
+    has 2a <= b.
+    """
+    u: dict[int, int] = {}
     for a, b, e in atoms:
-        if e == 0 or a == 0 or a == b:
-            continue
-        if a > b - a:
-            a = b - a
-        if not (1 <= a and 2 * a <= b):
+        if not (type(a) is type(b) is type(e) is int):
+            raise TypeError(f"volume atom ({a!r}, {b!r}, {e!r}) must hold ints")
+        if not 0 <= a <= b:
             raise ValueError(f"invalid volume atom V({a},{b})")
-        merged[a, b] = merged.get((a, b), 0) + e
-    return tuple((a, b, e) for (a, b), e in sorted(merged.items()) if e != 0)
+        if e and 0 < a < b:
+            u[b] = u.get(b, 0) + e
+            u[a] = u.get(a, 0) - e
+            u[b - a] = u.get(b - a, 0) - e
+    out = []
+    while any(u.values()):
+        b = max(k for k, x in u.items() if x)
+        e = u.pop(b)
+        a = min(k for k, x in u.items() if x * e < 0)
+        out.append((min(a, b - a), b, e))
+        u[a] += e
+        u[b - a] = u.get(b - a, 0) + e
+    return tuple(sorted(out))
 
 
 class VolumeExpr(NamedTuple):
     """sign*rational x (2pi)^k x product of classical atoms V(a,b)^e.
 
-    Stored with its atoms merged, sorted and written with 2a <= b (see
-    ``_canonical_atoms``); the zero expression has no power and no atoms.
-    Equality is structural and so stricter than equality of values: with
-    V(a,b) = u(b)/(u(a)u(b-a)), u(k) = vol U(k), both V(1,2)V(2,4) and
-    V(1,3)V(1,4) equal u(4)/(u(1)^2 u(2)), yet they compare unequal.  Atoms
-    over u(k) would make the form canonical (ROADMAP item 3).
+    The atoms are stored in the normal form of ``_canonical_atoms``: the
+    product of atoms is a monomial in the u(k) = vol U(k), read back as
+    atoms with 2a <= b, so two expressions are equal exactly when their
+    coefficients, powers of 2pi and u-monomials are; V(1,2)V(2,4) and
+    V(1,3)V(1,4), both u(4)/(u(1)^2 u(2)), are stored alike.  The power of
+    2pi and every atom field are ints.  The zero expression has no power
+    and no atoms.
     """
 
     coeff: Fraction
@@ -102,18 +127,19 @@ class VolumeExpr(NamedTuple):
     @staticmethod
     def make(coeff, two_pi_power: int = 0, atoms=()) -> "VolumeExpr":
         coeff = as_fraction(coeff)
+        if type(two_pi_power) is not int:
+            raise TypeError(f"power of 2pi must be an int, not {two_pi_power!r}")
+        atoms = _canonical_atoms(atoms)
         if coeff == 0:
-            return VolumeExpr(Fraction(0), 0, ())
-        return VolumeExpr(coeff, two_pi_power, _canonical_atoms(atoms))
+            return VolumeExpr(coeff, 0, ())
+        return VolumeExpr(coeff, two_pi_power, atoms)
 
     @staticmethod
     def zero() -> "VolumeExpr":
-        return VolumeExpr(Fraction(0), 0, ())
+        return VolumeExpr.make(0)
 
     @staticmethod
     def atom(a: int, b: int) -> "VolumeExpr":
-        if not 0 <= a <= b:
-            raise ValueError("atom requires 0 <= a <= b")
         return VolumeExpr.make(1, 0, ((a, b, 1),))
 
     def is_zero(self) -> bool:
@@ -130,11 +156,10 @@ class VolumeExpr(NamedTuple):
     def __truediv__(self, other: "VolumeExpr") -> "VolumeExpr":
         if other.is_zero():
             raise ZeroDivisionError("division by zero volume")
-        inverted = tuple((a, b, -e) for a, b, e in other.atoms)
         return VolumeExpr.make(
             self.coeff / other.coeff,
             self.two_pi_power - other.two_pi_power,
-            self.atoms + inverted,
+            self.atoms + tuple((a, b, -e) for a, b, e in other.atoms),
         )
 
     def render(self) -> str:
@@ -172,9 +197,7 @@ def volume(spec: GrassSpec) -> VolumeExpr:
         spec = spec.swapped()
     r, s, m, n = spec.r, spec.s, spec.m, spec.n
     sign = -1 if (s * (m + n + r + s)) % 2 else 1
-    coeff = Fraction(sign * math.comb(n, s))
-    atoms = ((r - s, m - n, 1),) if r > s else ()
-    return VolumeExpr.make(coeff, dims(spec).odd, atoms)
+    return VolumeExpr.make(sign * math.comb(n, s), dims(spec).odd, ((r - s, m - n, 1),))
 
 
 def _equal_rank_volume(r: int, n: int) -> VolumeExpr:
@@ -206,9 +229,8 @@ def volume_via_fibration(spec: GrassSpec) -> VolumeExpr:
         spec = spec.swapped()
     # now s <= r, s <= n <= m and n - s <= m - r: every factor is in range
     r, s, m, n = spec.r, spec.s, spec.m, spec.n
-    sign = VolumeExpr.make((-1) ** (((r - s) * (n - s)) % 2))
     numerator = (
-        sign
+        VolumeExpr.make((-1) ** (((r - s) * (n - s)) % 2))
         * _equal_rank_volume(s, n)
         * _full_odd_rank_volume(n, m)
         * VolumeExpr.atom(r - s, m - n)

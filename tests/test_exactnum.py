@@ -199,6 +199,23 @@ def test_det_matches_cofactor_oracle():
             assert exactnum.det(m) == det_cofactor(m) == 0
 
 
+def test_det_scales_once_and_stops_at_a_column_without_pivot(monkeypatch):
+    calls = []
+    real = exactnum.integer_scaled
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(exactnum, "integer_scaled", counted)
+    m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
+    assert exactnum.det(m) == Fraction(1, 14) - Fraction(1, 15) == det_cofactor(m)
+    assert len(calls) == 1
+    assert exactnum.det([]) == 1
+    assert exactnum.det([[0, 1, 2], [0, 3, 4], [0, 5, 7]]) == 0
+    assert exactnum.det([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 0
+
+
 def rank_oracle(m):
     """The largest k with a nonzero k x k minor, by cofactor expansion."""
     rows, cols = len(m), len(m[0]) if m else 0

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supervol.grassvol import (
     GrassSpec,
@@ -153,8 +155,8 @@ def test_expression_arithmetic():
 
 
 def test_make_rejects_an_invalid_atom_even_when_it_cancels():
-    # every atom is validated as it is merged, before exponents can cancel
-    with pytest.raises(ValueError, match=r"invalid volume atom V\(-2,3\)"):
+    # every atom is validated, as given, before exponents can cancel
+    with pytest.raises(ValueError, match=r"^invalid volume atom V\(5,3\)$"):
         VolumeExpr.make(1, 0, ((5, 3, 1), (5, 3, -1)))
     # valid atoms still cancel, and V(a, b) meets V(b-a, b)
     assert VolumeExpr.make(1, 0, ((1, 3, 1), (2, 3, -1))) == VolumeExpr.make(1)
@@ -164,3 +166,81 @@ def test_make_rejects_an_invalid_atom_even_when_it_cancels():
 def test_render_examples():
     assert volume(GrassSpec(1, 1, 2, 2)).render() == "2·(2π)^2"
     assert VolumeExpr.make(1, 1).render() == "1·(2π)"
+
+
+def test_two_step_flag_identities_hold_as_expressions():
+    # Gr(r2|s2, m|n) Gr(r1|s1, r2|s2) = Gr(r1|s1, m|n) Gr(r2-r1|s2-s1, m-r1|n-s1):
+    # both sides are the volume of one flag manifold, so they must compare equal
+    count = 0
+    for m, n in itertools.product(range(6), repeat=2):
+        for r1, r2 in itertools.combinations_with_replacement(range(m + 1), 2):
+            for s1, s2 in itertools.combinations_with_replacement(range(n + 1), 2):
+                lhs = volume(GrassSpec(r2, s2, m, n)) * volume(GrassSpec(r1, s1, r2, s2))
+                rhs = (volume(GrassSpec(r1, s1, m, n))
+                       * volume(GrassSpec(r2 - r1, s2 - s1, m - r1, n - s1)))
+                assert lhs == rhs, (r1, s1, r2, s2, m, n)
+                count += 1
+    assert count == 3136
+
+
+def test_equal_u_monomials_are_equal_expressions():
+    # V(1,2) V(2,4) and V(1,3) V(1,4) are both u(4) / (u(1)^2 u(2))
+    lhs = VolumeExpr.atom(1, 2) * VolumeExpr.atom(2, 4)
+    rhs = VolumeExpr.atom(1, 3) * VolumeExpr.atom(1, 4)
+    assert lhs == rhs
+    assert lhs.atoms == ((1, 3, 1), (1, 4, 1))
+    assert lhs / rhs == VolumeExpr.make(1)
+
+
+atom_lists = st.lists(
+    st.integers(1, 9).flatmap(lambda b: st.tuples(st.integers(0, b), st.just(b),
+                                                  st.integers(-3, 3))),
+    max_size=6)
+
+
+@given(atom_lists, st.randoms(use_true_random=False))
+def test_normal_form_invariants(atoms, rng):
+    expr = VolumeExpr.make(1, 0, atoms)
+    assert VolumeExpr.make(1, 0, expr.atoms) == expr
+    assert list(expr.atoms) == sorted(expr.atoms)
+    assert all(1 <= a and 2 * a <= b and e != 0 for a, b, e in expr.atoms)
+    assert len({b for _, b, _ in expr.atoms}) == len(expr.atoms)
+    shuffled = list(atoms)
+    rng.shuffle(shuffled)
+    assert VolumeExpr.make(1, 0, shuffled) == expr
+    dual = [(b - a, b, e) if rng.random() < 0.5 else (a, b, e) for a, b, e in atoms]
+    assert VolumeExpr.make(1, 0, dual) == expr
+    product = VolumeExpr.make(1)
+    for a, b, e in atoms:
+        product = product * VolumeExpr.make(1, 0, ((a, b, e),))
+    assert product == expr
+
+
+@pytest.mark.parametrize("bad", [1.0, Fraction(1), True])
+def test_fields_must_be_exact_ints(bad):
+    for fields in ((bad, 0, 2, 0), (0, bad, 0, 2), (0, 0, bad, 0), (0, 0, 1, bad)):
+        with pytest.raises(TypeError):
+            GrassSpec(*fields)
+    with pytest.raises(TypeError):
+        GrassSpec(1, 0, 2, 0)._replace(r=bad)
+    for coeff in (1, 0):
+        with pytest.raises(TypeError):
+            VolumeExpr.make(coeff, bad)
+        for atom in ((bad, 2, 1), (1, bad, 1), (1, 2, bad)):
+            with pytest.raises(TypeError):
+                VolumeExpr.make(coeff, 0, (atom,))
+
+
+def test_exactness_examples():
+    # accepted before the int checks, and rendered with float or fractional exponents
+    with pytest.raises(TypeError, match="^GrassSpec fields must be ints$"):
+        GrassSpec(0.5, 0, 1, 0)
+    with pytest.raises(TypeError, match="^power of 2pi must be an int, not 0.5$"):
+        VolumeExpr.make(1, 0.5)
+    with pytest.raises(TypeError, match=r"^volume atom \(1, 2, 0.5\) must hold ints$"):
+        VolumeExpr.make(1, 0, ((1, 2, 0.5),))
+    # a range error names the atom as given
+    for a, b in ((-1, 2), (3, 2)):
+        with pytest.raises(ValueError, match=rf"^invalid volume atom V\({a},{b}\)$"):
+            VolumeExpr.atom(a, b)
+    assert VolumeExpr.atom(0, 3) == VolumeExpr.atom(3, 3) == VolumeExpr.make(1)
