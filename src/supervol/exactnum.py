@@ -3,16 +3,17 @@
 Matrices are plain sequences of sequences of values accepted by
 ``fractions.Fraction``; every routine returns exact rationals.  Sizes stay
 in the dozens and storage is dense.  Each public routine normalizes its
-input with ``mat`` once, at the boundary, and hands the result to private
-kernels (``_det``, ``_skew``, ``_mat_mul``, ``_pfaffian``) that never
-normalize again.  Determinants and Pfaffians
-come from fraction-free kernels: the matrix is scaled to integers once
-by an lcm of its denominators, and every elimination step divides
-exactly by the previous pivot, so the inner loops do integer arithmetic
-only.  One Bareiss elimination, ``_det`` on one ``integer_scaled``
+input with ``mat`` once, at the boundary, and hands the result to
+kernels that never normalize again: the private ``_det``, ``_skew`` and
+``_pfaffian``, and the unchecked integer kernels ``integer_mat_mul`` and
+``integer_inertia``, which other modules may call directly.  Determinants
+and Pfaffians come from fraction-free kernels: the matrix is scaled to
+integers once by an lcm of its denominators, and every elimination step
+divides exactly by the previous pivot, so the inner loops do integer
+arithmetic only.  One Bareiss elimination, ``_det`` on one ``integer_scaled``
 matrix, serves ``det``, and its skew analogue serves ``pfaffian``.
-``mat_mul`` scales each operand to integers once, takes integer dot
-products and makes one ``Fraction`` per entry.
+``mat_mul`` scales each operand to integers once, multiplies them with
+``integer_mat_mul`` and makes one ``Fraction`` per entry.
 Symmetric congruence elimination (``integer_inertia``, behind the
 validating ``inertia``) gives the inertia of a quadratic form.
 ``sparse_form`` is the one evaluation of a bilinear form v^T * G * w, on
@@ -31,8 +32,9 @@ dimensional space is computed two ways:
 * ``alpha_diagonal`` -- the closed product prod(c_i/d_i) for a diagonal
   complex action, after realification.
 
-The two must agree on realified diagonal models; the test suite checks
-this on random inputs.
+The two must agree on realified diagonal models; the test suite and the
+``verify`` check ``alpha-pfaffian-matches-diagonal-product`` check this
+on random inputs.
 
 The coercion and integer scaling that every module shares live in the
 leaf module ``exactvalue``; this module loads only for the CLI verbs
@@ -43,7 +45,7 @@ and ``verify``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import mul
 from typing import Sequence
 
@@ -60,15 +62,8 @@ def mat(rows) -> Matrix:
     return out
 
 
-def transpose(m) -> Matrix:
-    m = mat(m)
-    if not m:
-        return m
-    return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
-
-
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """The product of two integer matrices of matching shapes."""
+def integer_mat_mul(a, b) -> list[list[int]]:
+    """The product of two integer matrices of matching shapes, unchecked."""
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
@@ -87,7 +82,7 @@ def mat_mul(a, b) -> Matrix:
     ai, da = integer_scaled(a)
     bi, db = integer_scaled(b)
     d = da * db
-    return tuple(tuple(Fraction(x, d) for x in row) for row in _mat_mul(ai, bi))
+    return tuple(tuple(Fraction(x, d) for x in row) for row in integer_mat_mul(ai, bi))
 
 
 def sparse_form(gram, v, w) -> int | Fraction:
@@ -341,11 +336,11 @@ def alpha_pfaffian(q01, q10) -> Fraction:
     # here on the integer product of the two scaled blocks, over (d01 d10)^(n/2)
     a01, d01 = integer_scaled(q01)
     a10, d10 = integer_scaled(q10)
-    prod = list(zip(*_mat_mul(a01, a10)))
-    if not _skew(prod):
+    product = list(zip(*integer_mat_mul(a01, a10)))
+    if not _skew(product):
         raise ValueError("basis not adapted: Q01^T*Q10^(-1) is not skew-symmetric")
-    _check_even(len(prod))
-    return Fraction(_pfaffian(prod), (d01 * d10) ** (len(prod) // 2)) / d
+    _check_even(len(product))
+    return Fraction(_pfaffian(product), (d01 * d10) ** (len(product) // 2)) / d
 
 
 def alpha_diagonal(c: Sequence, d: Sequence) -> Fraction:
@@ -361,10 +356,7 @@ def alpha_diagonal(c: Sequence, d: Sequence) -> Fraction:
         raise ValueError("dimension mismatch")
     if any(x == 0 for x in df):
         raise ValueError("Q not invertible on V_0")
-    out = Fraction(1)
-    for ci, di in zip(cf, df):
-        out *= ci / di
-    return out
+    return prod(cf, start=Fraction(1)) / prod(df)
 
 
 def realified_diagonal_action(c: Sequence, d: Sequence) -> tuple[Matrix, Matrix]:

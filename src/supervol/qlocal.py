@@ -59,16 +59,10 @@ def validate_params(a: Sequence) -> Params:
 
 
 def random_params(n: int, rng: random.Random) -> Params:
-    """Distinct small nonzero integers with no pair summing to zero."""
-    chosen: list[int] = []
-    taken: set[int] = set()
-    while len(chosen) < n:
-        x = rng.randint(1, 40 + 4 * n) * rng.choice((1, -1))
-        if x in taken or -x in taken:
-            continue
-        taken.add(x)
-        chosen.append(x)
-    return tuple(Fraction(x) for x in chosen)
+    """n nonzero integers with distinct magnitudes, so no two are equal or
+    sum to zero: the magnitudes are a uniform sample without replacement
+    from 1..40+4n, and each carries a uniform sign."""
+    return tuple(Fraction(rng.choice((x, -x))) for x in rng.sample(range(1, 41 + 4 * n), max(n, 0)))
 
 
 def seeded_param_vectors(n: int, count: int, seed: int) -> list[Params]:

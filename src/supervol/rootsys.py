@@ -139,13 +139,13 @@ def build_root_system(family: str, *params) -> RootSystem:
     """
     fam = family.lower()
     if fam in ("gl", "sl"):
-        if len(params) != 2 or any(not isinstance(p, int) or p < 0 for p in params):
+        if len(params) != 2 or any(type(p) is not int or p < 0 for p in params):
             raise ValueError(f"{fam}(m|n) requires integers m, n >= 0")
         m, n = params
         return RootSystem(fam, (m, n), _diag_gram([1] * m + [-1] * n),
                           _gl_roots(m, n))
     if fam == "osp":
-        if (len(params) != 2 or any(not isinstance(p, int) or p < 0 for p in params)
+        if (len(params) != 2 or any(type(p) is not int or p < 0 for p in params)
                 or params[1] % 2 != 0):
             raise ValueError("osp(M|2n) requires integers M >= 0 and even 2n >= 0")
         big_m, two_n = params

@@ -70,13 +70,14 @@ class GroupDesc(NamedTuple):
         return "×".join(_atom_label(a) + (f"^{k}" if k > 1 else "") for a, k in runs) or "1"
 
 
-def _factor(*atom) -> GroupDesc:
-    """The group of the one factor ``atom``, whose parameters must be >= 0;
-    the trivial group when they are all 0."""
-    params = atom[1:]
+def _factor(kind: str, *params) -> GroupDesc:
+    """The group of the one factor ``kind(params)``, whose parameters must be
+    ints >= 0; the trivial group when they are all 0."""
+    if not all(type(p) is int for p in params):
+        raise TypeError(f"{kind} parameters must be ints, got {params!r}")
     if min(params) < 0:
         raise ValueError("negative parameters")
-    return GroupDesc((atom,) if any(params) else ())
+    return GroupDesc(((kind, *params),) if any(params) else ())
 
 
 def GL(m: int, n: int) -> GroupDesc:
@@ -96,6 +97,10 @@ def trivial() -> GroupDesc:
 
 
 def power(g: GroupDesc, k: int) -> GroupDesc:
+    if type(k) is not int:
+        raise TypeError(f"the exponent must be an int, got {k!r}")
+    if k < 0:
+        raise ValueError(f"the exponent must be >= 0, got {k}")
     return GroupDesc(g.factors * k)
 
 
@@ -113,6 +118,8 @@ def is_splitting_levi_gl(r: int, s: int, m: int, n: int) -> SplittingCheck:
 
 def is_splitting_levi_q(r: int, n: int) -> SplittingCheck:
     """Levi criterion for Q: splitting iff r(n-r) is even."""
+    if not (type(r) is type(n) is int):
+        raise TypeError(f"r and n must be ints, got {(r, n)!r}")
     if not 0 <= r <= n:
         raise ValueError("require 0 <= r <= n")
     value = r * (n - r)
@@ -131,7 +138,9 @@ def sdim_necessity(g_dims: tuple[int, int], k_dims: tuple[int, int]) -> bool:
 # Factor kind -> (Levi rule, the criterion's parameter names: those of the
 # split-off block and then those of the whole factor, the criterion, and the
 # name of the value it returns as evidence).  A Levi step's evidence holds
-# the parameters and the value under these names; the CLI reads them too.
+# the parameters and the value under these names.  The table builds the
+# Levi steps of both chains (``_levi_steps``), and ``ChainStep.validate``
+# and the CLI read it back.
 LEVI_CRITERIA = {
     "GL": (RULE_LEVI_GL, ("r", "s", "m", "n"), is_splitting_levi_gl, "sdim"),
     "Q": (RULE_LEVI_Q, ("r", "n"), is_splitting_levi_q, "parity_product"),
@@ -229,6 +238,21 @@ class SubgroupChain(NamedTuple):
         }
 
 
+def _levi_steps(kind: str, block: tuple, whole: tuple, count: int):
+    """The Levi steps that peel ``count`` factors ``kind(block)`` off the
+    factor ``kind(whole)``, from the bottom up: step k takes
+    kind(block)^k × kind(whole - k block) down to
+    kind(block)^(k+1) × kind(whole - (k+1) block), with the evidence that
+    ``LEVI_CRITERIA`` names."""
+    rule, names, criterion, key = LEVI_CRITERIA[kind]
+    peel = _factor(kind, *block)
+    for k in reversed(range(count)):
+        rest = tuple(w - k * b for w, b in zip(whole, block))
+        yield ChainStep(power(peel, k + 1) * _factor(kind, *map(operator.sub, rest, block)),
+                        power(peel, k) * _factor(kind, *rest), rule,
+                        {**dict(zip(names, block + rest)), key: criterion(*block, *rest).evidence})
+
+
 def _gl_chain(m: int, n: int) -> SubgroupChain:
     """SL(1|1)^d < GL(1|1)^d [< GL(1|1)^d×GL(m-d|n-d)] < ... < GL(m|n), d = min(m, n).
 
@@ -246,26 +270,14 @@ def _gl_chain(m: int, n: int) -> SubgroupChain:
         leftover = GL(m - d, n - d)
         steps.append(ChainStep(ones, ones * leftover, RULE_FACTOR_SPLIT,
                                {"removed": [leftover.label()]}))
-    for k in reversed(range(d - (m == n))):
-        a, b = m - k, n - k
-        steps.append(ChainStep(
-            power(GL(1, 1), k + 1) * GL(a - 1, b - 1), power(GL(1, 1), k) * GL(a, b),
-            RULE_LEVI_GL,
-            {"r": 1, "s": 1, "m": a, "n": b, "sdim": is_splitting_levi_gl(1, 1, a, b).evidence},
-        ))
+    steps.extend(_levi_steps("GL", (1, 1), (m, n), d - (m == n)))
     return SubgroupChain(top, tuple(steps))
 
 
 def _q_chain(n: int) -> SubgroupChain:
     """Q(2)^d [×Q(1)] < ... < Q(n): Levi step k peels Q(2) off Q(n-2k) while
     n-2k >= 3."""
-    return SubgroupChain(Q(n), tuple(
-        ChainStep(power(Q(2), k + 1) * Q(n - 2 * k - 2), power(Q(2), k) * Q(n - 2 * k),
-                  RULE_LEVI_Q,
-                  {"r": 2, "n": n - 2 * k,
-                   "parity_product": is_splitting_levi_q(2, n - 2 * k).evidence})
-        for k in reversed(range((n - 1) // 2))
-    ))
+    return SubgroupChain(Q(n), tuple(_levi_steps("Q", (2,), (n,), (n - 1) // 2)))
 
 
 def minimal_chain(group: GroupDesc) -> SubgroupChain:

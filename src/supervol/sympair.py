@@ -71,6 +71,8 @@ def osp_pair(m: int, n: int) -> RestrictedPair:
     Restricted system of type BC1 with positive roots {alpha, 2*alpha};
     rho = (n - m - 1) alpha.
     """
+    if not (type(m) is type(n) is int):
+        raise TypeError(f"m and n must be ints, got {(m, n)!r}")
     if not n > m >= 0:
         raise ValueError("orthosymplectic pair requires n > m >= 0")
     return _pair(f"osp({2*m}|{2*n})/osp({2*m}|{2*n-2})xsp(2)",
@@ -176,6 +178,8 @@ def gram_positive_definite(pair: RestrictedPair) -> bool:
 
 def d21a_weight(l: int) -> Vector:
     """The l-th dominant weight of the principal block, in the eps basis."""
+    if type(l) is not int:
+        raise TypeError(f"index must be an int, got {l!r}")
     if l < 0:
         raise ValueError("index must be nonnegative")
     if l == 0:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import operator
 import os
 import random
 from fractions import Fraction
@@ -136,7 +135,7 @@ def _congruences(seed: int):
         m = _random_skew(n, rng)
         p = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         lhs = exactnum.pfaffian(
-            exactnum.mat_mul(exactnum.mat_mul(exactnum.transpose(p), m), p))
+            exactnum.mat_mul(exactnum.mat_mul(list(zip(*p)), m), p))
         yield f"sample {k}", lhs == exactnum.det(p) * exactnum.pfaffian(m)
 
 
@@ -285,9 +284,8 @@ def _casimir_outcomes():
         # combination over g d
         fund, d = exactvalue.integer_scaled(sympair.fundamental_weights(pair))
         numerators, g = exactvalue.integer_scaled(grid)
-        columns = list(zip(*fund))
         # nonnegative combinations of fundamental weights: dominant
-        weights = ([sum(map(operator.mul, c, col)) for col in columns] for c in numerators)
+        weights = exactnum.integer_mat_mul(numerators, fund)
         yield from zip(((pair.name, coeffs) for coeffs in grid),
                        sympair.positivity_checks(pair, weights, g * d))
 

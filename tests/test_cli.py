@@ -227,6 +227,13 @@ def test_chain_gl32_json():
     assert envelope["result"]["bottom"] == "Q(2)^2×Q(1)"
 
 
+def test_chain_that_fails_validation_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(splitting.SubgroupChain, "validate", lambda chain: False)
+    for argv in (("chain", "GL", "2", "1"), ("chain", "Q", "5", "--format", "json")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: constructed chain failed validation\n")
+
+
 def test_casimir():
     envelope = main_json("casimir", "g12", "1,0")
     assert envelope["result"] == {"eigenvalue": "12", "positive": True,

@@ -15,7 +15,6 @@ from supervol.exactnum import (
     mat_mul,
     pfaffian,
     realified_diagonal_action,
-    transpose,
 )
 from supervol.exactvalue import as_fraction, integer_scaled
 
@@ -168,7 +167,7 @@ def test_inertia_congruence_invariance():
             continue
         a = [[d if i == j else Fraction(0) for j, d in enumerate(diag)]
              for i in range(n)]
-        assert inertia(mat_mul(mat_mul(transpose(p), a), p)) == expected
+        assert inertia(mat_mul(mat_mul(list(zip(*p)), a), p)) == expected
         checked += 1
 
 
@@ -318,7 +317,7 @@ def test_pfaffian_congruence_scaling():
         n = 2 * rng.randint(1, 3)
         m = random_skew(n, rng)
         p = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        conj = mat_mul(mat_mul(transpose(p), m), p)
+        conj = mat_mul(mat_mul(list(zip(*p)), m), p)
         assert pfaffian(conj) == det_cofactor(p) * pfaffian(m)
 
 
@@ -359,6 +358,22 @@ def test_mat_mul_matches_triple_loop_oracle():
     assert mat_mul([[1, "1/2"]], [["2/3"], [-4]]) == ((Fraction(-4, 3),),)
 
 
+def test_integer_mat_mul_is_the_integer_triple_loop():
+    rng = random.Random(29)
+    for _ in range(60):
+        rows, inner, cols = (rng.randint(1, 6) for _ in range(3))
+        a = [[rng.randint(-50, 50) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.randint(-50, 50) for _ in range(cols)] for _ in range(inner)]
+        product = exactnum.integer_mat_mul(a, b)
+        assert product == [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+                           for i in range(rows)]
+        assert all(type(x) is int for row in product for x in row)
+    # k x 0 times the empty 0-row operand: k empty rows; 0 x k times k x m: no rows
+    assert exactnum.integer_mat_mul([[], [], []], []) == [[], [], []]
+    assert exactnum.integer_mat_mul([], [[1, 2], [3, 4]]) == []
+    assert exactnum.integer_mat_mul([[1, 2]], [[], []]) == [[]]
+
+
 def test_alpha_pfaffian_regular_module():
     # non-realified 1x1 blocks fail the skewness check; realified they give 1
     with pytest.raises(ValueError, match="basis not adapted"):
@@ -397,7 +412,7 @@ def test_alpha_pfaffian_on_non_diagonal_adapted_bases():
             while det_cofactor(q10) == 0:
                 q10 = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
                        for _ in range(n)]
-            q01 = transpose(mat_mul(a, q10))
+            q01 = list(zip(*mat_mul(a, q10)))
             assert alpha_pfaffian(q01, q10) == pfaffian(a)
 
 
@@ -406,6 +421,12 @@ def test_alpha_diagonal_examples():
     assert alpha_diagonal([2, 3], [1, 1]) == 6
     with pytest.raises(ValueError, match="not invertible"):
         alpha_diagonal([1], [0])
+
+
+def test_alpha_diagonal_of_no_pairs_and_of_mismatched_lengths():
+    assert alpha_diagonal([], []) == 1 and type(alpha_diagonal([], [])) is Fraction
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        alpha_diagonal([1, 2], [1])
 
 
 def test_alpha_diagonal_equal_rank_pairing():
@@ -478,7 +499,7 @@ def test_pfaffian_and_det_error_contract():
 
 def test_ragged_and_float_input_contract():
     # entries are converted before the shape is checked, so a float wins
-    routines = (pfaffian, exactnum.det, inertia, transpose,
+    routines = (pfaffian, exactnum.det, inertia,
                 lambda m: mat_mul(m, [[1], [1]]), lambda m: mat_mul([[1, 1]], m),
                 lambda m: alpha_pfaffian(m, [[1]]), lambda m: alpha_pfaffian([[1]], m))
     for routine in routines:

@@ -223,7 +223,7 @@ ORACLE_FAMILIES = (
 
 def independent(vectors) -> bool:
     """Linear independence by a nonzero Gram determinant det(V * V^T)."""
-    return exactnum.det(exactnum.mat_mul(vectors, exactnum.transpose(vectors))) != 0
+    return exactnum.det(exactnum.mat_mul(vectors, list(zip(*vectors)))) != 0
 
 
 def brute_force_defect(system) -> int:
@@ -293,6 +293,22 @@ def test_invalid_families_and_params():
         build_root_system("d21a", 0)
     with pytest.raises(ValueError, match="alpha"):
         build_root_system("d21a", -1)
+
+
+def test_arity_errors_name_the_expected_parameters():
+    for params in ((), (1, 2)):
+        with pytest.raises(ValueError, match="^d21a requires the form parameter alpha$"):
+            build_root_system("d21a", *params)
+    with pytest.raises(ValueError, match="^g3 takes no parameters$"):
+        build_root_system("g3", 1)
+    with pytest.raises(ValueError, match="^f4 takes no parameters$"):
+        build_root_system("f4", 1)
+
+
+def test_gl_and_osp_refuse_bool_parameters():
+    for family, params in (("gl", (True, 2)), ("sl", (1, False)), ("osp", (True, 2))):
+        with pytest.raises(ValueError, match="requires integers"):
+            build_root_system(family, *params)
 
 
 INTEGER_ROUTE_FAMILIES = (

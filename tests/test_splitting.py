@@ -216,3 +216,30 @@ def test_chain_payload_shape():
     assert len(payload["steps"]) == len(payload["groups"]) - 1
     for step in payload["steps"]:
         assert set(step) == {"sub", "sup", "rule", "evidence"}
+
+
+def test_constructors_refuse_non_int_parameters():
+    for make, args in ((GL, (1.5, 2)), (SL, (1, 2.0)), (Q, (True,)), (GL, (False, 1))):
+        with pytest.raises(TypeError, match="parameters must be ints"):
+            make(*args)
+
+
+def test_q_levi_criterion_refuses_non_int_parameters():
+    for r, n in ((1.0, 3), (1, 3.0), (True, 3)):
+        with pytest.raises(TypeError, match="^r and n must be ints"):
+            is_splitting_levi_q(r, n)
+
+
+def test_power_refuses_a_negative_or_non_int_exponent():
+    with pytest.raises(ValueError, match="^the exponent must be >= 0, got -1$"):
+        power(Q(2), -1)
+    with pytest.raises(TypeError, match="^the exponent must be an int, got True$"):
+        power(Q(2), True)
+    assert power(Q(2), 0) == trivial()
+
+
+def test_negative_factor_parameters_are_refused():
+    for make, args in ((GL, (-1, 2)), (SL, (1, -2)), (Q, (-3,))):
+        with pytest.raises(ValueError, match="^negative parameters$"):
+            make(*args)
+

@@ -196,3 +196,25 @@ def test_positivity_check_at_eigenvalue_one():
     unit = RestrictedPair("unit", ((Fraction(1),),), (Fraction(0),))
     assert casimir_eigenvalue(unit, (1,)) == 1
     assert positivity_check(unit, (1,)) is True
+
+
+def test_osp_pair_refuses_non_int_parameters():
+    for m, n in ((False, True), (0, 2.0), (Fraction(0), 2)):
+        with pytest.raises(TypeError, match="^m and n must be ints"):
+            osp_pair(m, n)
+
+
+def test_d21a_weight_refuses_a_non_int_index():
+    for l in (0.5, True, Fraction(1)):
+        with pytest.raises(TypeError, match="^index must be an int"):
+            d21a_weight(l)
+
+
+def test_d21a_weight_refuses_a_negative_index():
+    with pytest.raises(ValueError, match="^index must be nonnegative$"):
+        d21a_weight(-1)
+
+
+def test_pair_rejects_a_declared_length_ratio_mismatch():
+    with pytest.raises(ValueError, match="^bad: declared length ratio mismatch$"):
+        sympair._pair("bad", [[6, -3], [-3, 2]], [1, 1], [2])

@@ -243,6 +243,16 @@ def test_casimir_sweep_weights_are_the_fraction_combinations(monkeypatch):
     assert seen == expected
 
 
+def test_casimir_sweep_fails_on_a_gram_that_is_not_positive_definite(monkeypatch):
+    # the planted rank-one pair fails at its Gram and adds none of its weights
+    real = sympair.builtin_pairs
+    planted = sympair.RestrictedPair("planted", ((Fraction(-2),),), (Fraction(0),))
+    monkeypatch.setattr(sympair, "builtin_pairs", lambda m, n: [planted] + real(m, n))
+    result = verify.check_casimir_positivity()
+    assert not result.passed
+    assert result.detail.endswith("; 1756 cases, 1 failures, first ('planted', 'gram')")
+
+
 @pytest.mark.parametrize("seed", [20240001, 7])
 def test_verify_json_matches_the_recorded_output(capsys, seed):
     # recorded from `supervol verify --format json --seed <seed>`: a change
