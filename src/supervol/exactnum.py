@@ -2,25 +2,37 @@
 
 Matrices are plain sequences of sequences of values accepted by
 ``fractions.Fraction``; every routine returns exact rationals.  Sizes stay
-in the dozens and storage is dense.  Each public routine normalizes its
-input with ``mat`` once, at the boundary, and hands the result to
-kernels that never normalize again: the private ``_det``, ``_skew`` and
-``_pfaffian``, and the unchecked integer kernels ``integer_mat_mul`` and
-``integer_inertia``, which other modules may call directly.  Determinants
-and Pfaffians come from fraction-free kernels: the matrix is scaled to
-integers once by an lcm of its denominators, and every elimination step
-divides exactly by the previous pivot, so the inner loops do integer
-arithmetic only.  One Bareiss elimination, ``_det`` on one ``integer_scaled``
-matrix, serves ``det``, and its skew analogue serves ``pfaffian``.
-``mat_mul`` scales each operand to integers once, multiplies them with
-``integer_mat_mul`` and makes one ``Fraction`` per entry.
-Symmetric congruence elimination (``integer_inertia``, behind the
-validating ``inertia``) gives the inertia of a quadratic form.
-``sparse_form`` is the one evaluation of a bilinear form v^T * G * w, on
-the supports of v and w; ``form`` is its validating boundary, as ``det``
-is for ``_det``.  ``extend_echelon`` is the one rank kernel: it decides
-the independence of a sparse integer row from an echelon that the
-caller keeps, by one fraction-free reduction.
+in the dozens and storage is dense.  Each public matrix routine
+(``det``, ``pfaffian``, ``inertia``, ``mat_mul``, ``alpha_pfaffian``)
+reads each operand once, through one boundary, ``_integer_rows``: a
+single pass that converts every entry (ints and Fractions by
+``as_integer_ratio()``, any other value by ``as_fraction``, so a float or
+a bool is refused), then checks that the rows have one length, and
+returns the matrix as integer rows over one scale, the lcm of its
+denominators.  Behind it the
+kernels see integer rows only and never convert again: the private
+``_det``, ``_skew`` and ``_pfaffian``, and the unchecked integer kernels
+``integer_mat_mul`` and ``integer_inertia``, which other modules may call
+directly.  ``mat`` builds the stored Fraction matrices that other modules
+keep (a pair's Gram matrix); no routine here reads its operands through it.
+
+Determinants and Pfaffians come from fraction-free eliminations on those
+integer rows: every step divides exactly by the previous pivot, so the
+inner loops do integer arithmetic only.  ``_det`` is Bareiss' elimination
+and serves ``det``, and its skew analogue ``_pfaffian`` serves
+``pfaffian``.  ``mat_mul`` multiplies the integer rows of its operands
+with ``integer_mat_mul`` and makes one ``Fraction`` per entry.  Symmetric
+congruence elimination (``integer_inertia``, behind the validating
+``inertia``) gives the inertia of a quadratic form.  ``sparse_form`` is
+the one evaluation of a bilinear form v^T * G * w, on the supports of v
+and w; ``form`` is its validating boundary.  ``extend_echelon`` is the one
+rank kernel: it decides the independence of a sparse integer row from an
+echelon that the caller keeps, by one fraction-free reduction.
+
+Every matrix, row and result that a call makes is a list, or a tuple
+built from a list, never from a generator: ``exactvalue`` says why, and
+these routines are called many times in a row by ``verify`` and by the
+benchmark's kernels.
 
 The fixed-point invariant of an odd isomorphism acting on a (2n|2n)-
 dimensional space is computed two ways:
@@ -28,7 +40,8 @@ dimensional space is computed two ways:
 * ``alpha_pfaffian`` -- the Pfaffian of Q01^T * Q10^(-1) in an adapted
   real basis, evaluated without an inverse through the congruence
   identity Pf(B * A * B^T) = det(B) * Pf(A) as Pf((Q01 * Q10)^T) / det(Q10),
-  with the product formed once from the integer-scaled blocks;
+  with the product formed once from the integer rows of the blocks, and
+  det(Q10) from the same rows of Q10;
 * ``alpha_diagonal`` -- the closed product prod(c_i/d_i) for a diagonal
   complex action, after realification.
 
@@ -49,17 +62,28 @@ from math import gcd, prod
 from operator import mul
 from typing import Sequence
 
-from .exactvalue import as_fraction, integer_scaled
+from .exactvalue import as_fraction, scaled_ratios
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def mat(rows) -> Matrix:
-    """Normalize a matrix-like nested sequence to tuples of Fractions."""
-    out = tuple(tuple(as_fraction(x) for x in row) for row in rows)
-    if out and any(len(row) != len(out[0]) for row in out):
+def _integer_rows(m) -> tuple[list[list[int]], int]:
+    """The boundary of every routine here: the matrix m as integer rows
+    times d, and d, the lcm of the denominators of its entries (1 when
+    there are none).  Every entry is converted before the shape is
+    checked, so a float or a bool is reported before a ragged row."""
+    ratios = [[x.as_integer_ratio() if type(x) in (int, Fraction)
+               else as_fraction(x).as_integer_ratio() for x in row] for row in m]
+    if ratios and any(len(row) != len(ratios[0]) for row in ratios):
         raise ValueError("ragged matrix")
-    return out
+    return scaled_ratios(ratios)
+
+
+def mat(rows) -> Matrix:
+    """The matrix-like nested sequence ``rows`` as a tuple of tuples of
+    Fractions, read through the same boundary as every routine here."""
+    a, d = _integer_rows(rows)
+    return tuple([tuple([Fraction(x, d) for x in row]) for row in a])
 
 
 def integer_mat_mul(a, b) -> list[list[int]]:
@@ -68,21 +92,21 @@ def integer_mat_mul(a, b) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _check_product(a: Matrix, b: Matrix) -> None:
-    if a and len(a[0]) != len(b):
-        raise ValueError("dimension mismatch")
+def _check_square(a: list, what: str) -> None:
+    if a and len(a[0]) != len(a):
+        raise ValueError(f"{what} of non-square matrix")
 
 
 def mat_mul(a, b) -> Matrix:
-    """The product a * b: each operand is scaled to integers once, by the
+    """The product a * b: each operand is read as integer rows over the
     lcm da or db of its denominators, and each entry is one integer dot
     product over da * db."""
-    a, b = mat(a), mat(b)
-    _check_product(a, b)
-    ai, da = integer_scaled(a)
-    bi, db = integer_scaled(b)
+    a, da = _integer_rows(a)
+    b, db = _integer_rows(b)
+    if a and len(a[0]) != len(b):
+        raise ValueError("dimension mismatch")
     d = da * db
-    return tuple(tuple(Fraction(x, d) for x in row) for row in integer_mat_mul(ai, bi))
+    return tuple([tuple([Fraction(x, d) for x in row]) for row in integer_mat_mul(a, b)])
 
 
 def sparse_form(gram, v, w) -> int | Fraction:
@@ -102,14 +126,14 @@ def form(gram, v, w) -> int | Fraction:
 
     ``gram`` holds exact entries, as from :func:`mat` or as ints; ``int``
     coordinates of ``v`` and ``w`` stay ``int`` and every other coordinate
-    passes through :func:`as_fraction`, so all-integer input gives an
-    ``int`` and any ``Fraction`` gives a ``Fraction`` (or ``0`` when ``v``
-    or ``w`` is zero).  The coordinates are checked here and their
-    supports handed to :func:`sparse_form`, so a sparse vector costs only
-    its support.
+    passes through :func:`as_fraction`, which refuses a float or a bool,
+    so all-integer input gives an ``int`` and any ``Fraction`` gives a
+    ``Fraction`` (or ``0`` when ``v`` or ``w`` is zero).  The coordinates
+    are checked here and their supports handed to :func:`sparse_form`, so
+    a sparse vector costs only its support.
     """
-    vv = [x if isinstance(x, int) else as_fraction(x) for x in v]
-    ww = [x if isinstance(x, int) else as_fraction(x) for x in w]
+    vv = [x if type(x) is int else as_fraction(x) for x in v]
+    ww = [x if type(x) is int else as_fraction(x) for x in w]
     if len(vv) != len(gram) or len(ww) != len(gram):
         raise ValueError("dimension mismatch")
     return sparse_form(gram, [(i, x) for i, x in enumerate(vv) if x],
@@ -152,54 +176,48 @@ def extend_echelon(rows: list, v) -> bool:
     return True
 
 
-def _det(m: Matrix) -> Fraction:
-    """Bareiss' fraction-free elimination on m scaled to integers by the
-    lcm d of its denominators.
+def _det(a: list[list[int]]) -> int:
+    """The determinant of the square integer rows a, which are left intact,
+    by Bareiss' fraction-free elimination (Bareiss 1968).
 
-    Pivot search and row swaps are those of Gaussian elimination.  With
-    pivot p in the top row, every row below becomes
-    row[c] = (p * row[c] - f * top[c]) // prev, where f is the row's entry
-    in the pivot column and prev the previous pivot.  By Sylvester's
-    identity each entry is then a minor of the scaled matrix, so the
-    division is exact, and the last pivot, signed by the swaps, is its
-    determinant d^n * det(m) (Bareiss 1968).  A column with no pivot
-    makes the determinant 0.
+    Each step moves the first row r whose leading entry p is nonzero to
+    the top, which costs the sign (-1)^r, and drops that row and the
+    leading column: every other row becomes
+    row[c] = (p * row[c] - f * top[c]) // prev on the columns after the
+    leading one, where f is the row's leading entry and prev the previous
+    pivot.  By Sylvester's identity each entry is then a minor of a, so the
+    division is exact, and the last pivot, signed, is det(a).  A column
+    with no pivot makes the determinant 0.
     """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of non-square matrix")
-    rows, d = integer_scaled(m)
     sign, prev = 1, 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
+    while a:
+        r = next((r for r, row in enumerate(a) if row[0]), None)
+        if r is None:
+            return 0
+        if r % 2:
             sign = -sign
-        top = rows[col][col:]
-        p = top[0]
-        for row in rows[col + 1:]:
-            f = row[col]
-            if f or p != prev:
-                row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], top)]
+        top = a[r]
+        p, tail = top[0], top[1:]
+        a = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+             for row in a if row is not top]
         prev = p
-    return Fraction(sign * prev, d ** n)
+    return sign * prev
 
 
 def det(m) -> Fraction:
     """Exact determinant by Bareiss' fraction-free elimination.
 
-    The matrix is scaled to integers once, by the lcm d of its
-    denominators, every step divides exactly by the previous pivot, and
-    the determinant is the signed last pivot over d^n.
+    The matrix is read as integer rows over the lcm d of its denominators,
+    every step divides exactly by the previous pivot, and the determinant
+    is the signed last pivot over d^n.
     """
-    return _det(mat(m))
+    a, d = _integer_rows(m)
+    _check_square(a, "determinant")
+    return Fraction(_det(a), d ** len(a))
 
 
 def _skew(m) -> bool:
-    """Whether the normalized or integer-scaled matrix m is square and
-    skew-symmetric."""
+    """Whether the integer rows m are square and skew-symmetric."""
     n = len(m)
     return (all(len(row) == n for row in m)
             and all(m[i][j] == -m[j][i] for i in range(n) for j in range(i, n)))
@@ -237,8 +255,8 @@ def pfaffian(m) -> Fraction:
 
     Sign convention: Pf([[0,1],[-1,0]]) = +1, and the Pfaffian of a
     direct sum of 2x2 blocks is the product of the block Pfaffians.
-    Fraction-free skew elimination: the matrix is scaled to integers by
-    the lcm L of its denominators, and the skew test runs on those
+    Fraction-free skew elimination: the matrix is read as integer rows
+    times the lcm L of its denominators, and the skew test runs on those
     integers (L > 0).  Index k, the first remaining one, is
     paired with the first remaining l that has p = a[k][l] != 0; moving l
     next to k costs the sign (-1)^(pos-1), where pos is l's position among
@@ -250,24 +268,22 @@ def pfaffian(m) -> Fraction:
     pivot, signed, is Pf(L * A) = L^(n/2) * Pf(A) (compare Rote 2001).
     O(n^3) integer operations at every size.
     """
-    m = mat(m)
-    _check_even(len(m))
-    a, scale = integer_scaled(m)
+    a, scale = _integer_rows(m)
+    _check_even(len(a))
     if not _skew(a):
         raise ValueError("matrix is not skew-symmetric")
-    return Fraction(_pfaffian(a), scale ** (len(m) // 2))
+    return Fraction(_pfaffian(a), scale ** (len(a) // 2))
 
 
 def inertia(sym) -> tuple[int, int, int]:
     """Inertia (positive, negative, zero) of a symmetric rational matrix.
 
-    The matrix is scaled to integers by the lcm of its denominators, which
-    keeps the inertia, and handed to :func:`integer_inertia`.
+    The matrix is read as integer rows times the lcm of its denominators,
+    which keeps the inertia, and handed to :func:`integer_inertia`.
     """
-    a, _ = integer_scaled(mat(sym))
+    a, _ = _integer_rows(sym)
+    _check_square(a, "inertia")
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("inertia of non-square matrix")
     if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix is not symmetric")
     return integer_inertia(a)
@@ -325,22 +341,23 @@ def alpha_pfaffian(q01, q10) -> Fraction:
     Pf(q01^T * q10^(-1)).  The product must come out skew-symmetric,
     which holds exactly when the basis is adapted to an invariant form.
     """
-    q01, q10 = mat(q01), mat(q10)
-    d = _det(q10)
+    a01, d01 = _integer_rows(q01)
+    a10, d10 = _integer_rows(q10)
+    _check_square(a10, "determinant")
+    d = _det(a10)
     if d == 0:
         raise ValueError("Q does not act isomorphically")
-    if len(q01) != len(q10):
+    n = len(a10)
+    if len(a01) != n or (a01 and len(a01[0]) != n):
         raise ValueError("dimension mismatch")
-    _check_product(q01, q10)
     # Pf(B A B^T) = det(B) Pf(A); A = Q01^T Q10^(-1), B = Q10^T give B A B^T = (Q01 Q10)^T,
-    # here on the integer product of the two scaled blocks, over (d01 d10)^(n/2)
-    a01, d01 = integer_scaled(q01)
-    a10, d10 = integer_scaled(q10)
+    # here on the integer product of the two blocks' rows, over (d01 d10)^(n/2), and
+    # det(Q10) = d / d10^n from the same rows
     product = list(zip(*integer_mat_mul(a01, a10)))
     if not _skew(product):
         raise ValueError("basis not adapted: Q01^T*Q10^(-1) is not skew-symmetric")
-    _check_even(len(product))
-    return Fraction(_pfaffian(product), (d01 * d10) ** (len(product) // 2)) / d
+    _check_even(n)
+    return Fraction(_pfaffian(product) * d10 ** n, (d01 * d10) ** (n // 2) * d)
 
 
 def alpha_diagonal(c: Sequence, d: Sequence) -> Fraction:
@@ -376,6 +393,6 @@ def realified_diagonal_action(c: Sequence, d: Sequence) -> tuple[Matrix, Matrix]
             x = as_fraction(x)
             out[2 * i][2 * i], out[2 * i][2 * i + 1] = x, -x
             out[2 * i + 1][2 * i], out[2 * i + 1][2 * i + 1] = x, x
-        return tuple(map(tuple, out))
+        return tuple([tuple(row) for row in out])
 
     return realified(c), realified(d)

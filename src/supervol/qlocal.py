@@ -51,7 +51,7 @@ MAX_N = 14  # largest n of a subset sum
 
 def validate_params(a: Sequence) -> Params:
     """Check a_i != 0 and a_i +- a_j != 0 for i != j; return as Fractions."""
-    vals = tuple(as_fraction(x) for x in a)
+    vals = tuple([as_fraction(x) for x in a])
     # (|numerator|, denominator) pairs: hashing a Fraction costs a modular inverse
     if 0 in vals or len({(abs(x.numerator), x.denominator) for x in vals}) < len(vals):
         raise ValueError("degenerate parameters")
@@ -62,7 +62,8 @@ def random_params(n: int, rng: random.Random) -> Params:
     """n nonzero integers with distinct magnitudes, so no two are equal or
     sum to zero: the magnitudes are a uniform sample without replacement
     from 1..40+4n, and each carries a uniform sign."""
-    return tuple(Fraction(rng.choice((x, -x))) for x in rng.sample(range(1, 41 + 4 * n), max(n, 0)))
+    return tuple([Fraction(rng.choice((x, -x)))
+                  for x in rng.sample(range(1, 41 + 4 * n), max(n, 0))])
 
 
 def seeded_param_vectors(n: int, count: int, seed: int) -> list[Params]:
@@ -140,7 +141,7 @@ def _fixed_point_sums(ks: Sequence[int], a: Params, t: Fraction) -> list[Fractio
     counts = [count for count, _, _ in rows]
     starts = [bisect.bisect_left(counts, low) for low in range(h + 2)]
     # cols[2 (x - h) + s]: the cross factor of the high position x on side s, by row
-    cols = [list(col) for col in zip(*(cross for _, _, cross in rows))]
+    cols = [list(col) for col in zip(*[cross for _, _, cross in rows])]
     # targets[c]: the low counts that complete a k in ks with c high ones
     targets = [[low for low in range(h + 1) if low + c in wanted and starts[low] < starts[low + 1]]
                for c in range(n - h + 1)]
@@ -201,6 +202,8 @@ def gaussian_binomials(n: int, t: Fraction | int) -> list[Fraction]:
     """[n choose r]_t for every r = 0..n, from one q-Pascal pass on integers:
     with t = p/q and H(m, k) = q^(k(m-k)) [m choose k]_t,
     H(m, k) = q^(m-k) H(m-1, k-1) + p^k H(m-1, k)."""
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {n!r}")
     if n < 0:
         raise ValueError("require n >= 0")
     t = as_fraction(t)

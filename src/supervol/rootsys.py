@@ -51,7 +51,7 @@ class Root(NamedTuple):
         return tuple(v)
 
     def __neg__(self) -> "Root":
-        return Root(tuple((i, -c) for i, c in self.support), self.parity, self.dim, self.den)
+        return Root(tuple([(i, -c) for i, c in self.support]), self.parity, self.dim, self.den)
 
     __add__ = __radd__ = __mul__ = __rmul__ = reject_tuple_arithmetic
 
@@ -66,18 +66,20 @@ class RootSystem(NamedTuple):
 def _roots(dim: int, specs, den: int = 1) -> tuple[Root, ...]:
     """The root sum_(i, c) c/den * e_i of each (support, parity) spec,
     whose support is a tuple of the pairs (i, c) sorted by i."""
-    return tuple(Root._make((support, parity, dim, den)) for support, parity in specs)
+    return tuple([Root._make((support, parity, dim, den)) for support, parity in specs])
 
 
 def _diag_gram(signature) -> tuple[tuple[Fraction, ...], ...]:
     exact, zero, n = {x: as_fraction(x) for x in set(signature)}, Fraction(0), len(signature)
-    return tuple((zero,) * i + (exact[x],) + (zero,) * (n - 1 - i) for i, x in enumerate(signature))
+    return tuple([(zero,) * i + (exact[x],) + (zero,) * (n - 1 - i)
+                  for i, x in enumerate(signature)])
 
 
 def _signed(support, parity: str, c: int = 1) -> list:
     """The specs of every root sum_k s_k * c * e_(support_k) over the signs
     s_k = +-1, the signs in the order of ``itertools.product((1, -1), ...)``."""
-    return [(pairs, parity) for pairs in itertools.product(*(((i, c), (i, -c)) for i in support))]
+    return [(pairs, parity)
+            for pairs in itertools.product(*[((i, c), (i, -c)) for i in support])]
 
 
 def _gl_roots(m: int, n: int) -> tuple[Root, ...]:
@@ -118,7 +120,7 @@ def _g3_roots() -> tuple[Root, ...]:
     pos = [(v, EVEN) for v in ((*e1, 0), (*e2, 0), (*e3, 0), (1, -1, 0), (2, 1, 0),
                                (1, 2, 0), (0, 0, 2))]
     pos += [((0, 0, 1), ODD)] + [((*eps, s), ODD) for eps in (e1, e2, e3) for s in (1, -1)]
-    return _roots(3, [(tuple((i, sign * c) for i, c in enumerate(v) if c), parity)
+    return _roots(3, [(tuple([(i, sign * c) for i, c in enumerate(v) if c]), parity)
                       for sign in (1, -1) for v, parity in pos])
 
 
@@ -205,9 +207,9 @@ def _positive_representatives(system: RootSystem) -> tuple[list[list[int]], list
             reps.setdefault(s, r)
         elif (s := tuple([(i, -c) for i, c in s])) not in reps:
             reps[s] = -r
-    # the key (positions, values): with equal positions, the values order
+    # the key [positions, values]: with equal positions, the values order
     # the coordinate tuples
-    return gram, [reps[s] for s in sorted(reps, key=lambda s: tuple(zip(*s)))]
+    return gram, [reps[s] for s in sorted(reps, key=lambda s: list(zip(*s)))]
 
 
 def _witt_bound(gram: list[list[int]]) -> int:

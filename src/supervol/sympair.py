@@ -55,11 +55,11 @@ class RestrictedPair(NamedTuple):
 
 def _pair(name, gram_rows, rho_coeffs, ratios) -> RestrictedPair:
     gram = mat(gram_rows)
-    ratios = tuple(as_fraction(r) for r in ratios)
+    ratios = [as_fraction(r) for r in ratios]
     for i, ratio in enumerate(ratios):
         if gram[i][i] != ratio * gram[i + 1][i + 1]:
             raise ValueError(f"{name}: declared length ratio mismatch")
-    rho = tuple(as_fraction(c) for c in rho_coeffs)
+    rho = tuple([as_fraction(c) for c in rho_coeffs])
     if any(c < 0 for c in rho):
         raise ValueError(f"{name}: negative rho coefficient")
     return RestrictedPair(name, gram, rho)
@@ -163,10 +163,10 @@ def fundamental_weights(pair: RestrictedPair) -> tuple[Vector, ...]:
     d = det(g)
     if d == 0:
         raise ValueError("matrix is singular")
-    return tuple(
-        tuple(det([row[:i] + (int(r == j),) + row[i + 1:] for r, row in enumerate(g)]) / d
-              for i in range(k))
-        for j in range(k))
+    return tuple([
+        tuple([det([row[:i] + (int(r == j),) + row[i + 1:] for r, row in enumerate(g)]) / d
+               for i in range(k)])
+        for j in range(k)])
 
 
 def gram_positive_definite(pair: RestrictedPair) -> bool:

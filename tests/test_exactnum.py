@@ -198,21 +198,35 @@ def test_det_matches_cofactor_oracle():
             assert exactnum.det(m) == det_cofactor(m) == 0
 
 
-def test_det_scales_once_and_stops_at_a_column_without_pivot(monkeypatch):
+def boundary_calls(monkeypatch) -> list:
+    """Record each operand that the matrix routines read through their one
+    boundary, and each ``mat`` call, by name and operand."""
     calls = []
-    real = exactnum.integer_scaled
+    for name in ("_integer_rows", "mat"):
+        def counted(rows, name=name, real=getattr(exactnum, name)):
+            calls.append((name, rows))
+            return real(rows)
 
-    def counted(rows):
-        calls.append(rows)
-        return real(rows)
+        monkeypatch.setattr(exactnum, name, counted)
+    return calls
 
-    monkeypatch.setattr(exactnum, "integer_scaled", counted)
+
+def test_det_scales_once_and_stops_at_a_column_without_pivot(monkeypatch):
+    calls = boundary_calls(monkeypatch)
     m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
     assert exactnum.det(m) == Fraction(1, 14) - Fraction(1, 15) == det_cofactor(m)
-    assert len(calls) == 1
+    assert calls == [("_integer_rows", m)] and calls[0][1] is m
     assert exactnum.det([]) == 1
     assert exactnum.det([[0, 1, 2], [0, 3, 4], [0, 5, 7]]) == 0
     assert exactnum.det([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 0
+    # a pivot row below the top costs (-1)^r for its position r
+    assert exactnum.det([[0, 1], [1, 0]]) == -1
+    assert exactnum.det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert exactnum.det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    # the integer kernel leaves its rows intact
+    rows = [[0, 2, 1], [3, 1, 4], [1, 5, 9]]
+    assert exactnum._det(rows) == det_cofactor(rows)
+    assert rows == [[0, 2, 1], [3, 1, 4], [1, 5, 9]]
 
 
 def rank_oracle(m):
@@ -484,6 +498,26 @@ def test_float_input_rejected():
         as_fraction(0.5)
 
 
+def test_bool_input_rejected():
+    # a bool is an int to isinstance, but not a number here
+    boolean = "^boolean input rejected: True is not a number$"
+    with pytest.raises(TypeError, match=boolean):
+        as_fraction(True)
+    with pytest.raises(TypeError, match=boolean):
+        exactnum.det([[True]])
+    with pytest.raises(TypeError, match="^boolean input rejected: False is not a number$"):
+        exactnum.form(((1,),), [False], [1])
+    with pytest.raises(TypeError, match=boolean):
+        exactnum.form(((1,),), [True], [1])
+    with pytest.raises(TypeError, match=boolean):
+        exactnum.form(((1,),), [1], [True])
+    for routine in (pfaffian, inertia, exactnum.mat, lambda m: mat_mul(m, [[1], [1]]),
+                    lambda m: alpha_pfaffian(m, [[1, 0], [0, 1]]),
+                    lambda m: alpha_pfaffian([[0, 1], [-1, 0]], m)):
+        with pytest.raises(TypeError, match=boolean):
+            routine([[0, True], [1, 0]])
+
+
 def test_pfaffian_and_det_error_contract():
     # odd dimension is reported before skew-symmetry, even for a non-skew matrix
     with pytest.raises(ValueError, match="^Pfaffian undefined for odd dimension$"):
@@ -533,18 +567,15 @@ def test_alpha_pfaffian_error_contract():
 
 
 def test_public_routines_normalize_once(monkeypatch):
-    calls = []
-    real = exactnum.mat
-
-    def counted(rows):
-        calls.append(rows)
-        return real(rows)
-
+    # one boundary pass per operand, in order, and no ``mat`` call: q10 is
+    # read once for both its determinant and the product
     skew = [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]
+    sym = [[1, Fraction(1, 2)], [Fraction(1, 2), 3]]
     q01, q10 = realified_diagonal_action([1, Fraction(2, 3)], [3, Fraction(-1, 2)])
-    monkeypatch.setattr(exactnum, "mat", counted)
-    for routine, args, count in ((pfaffian, (skew,), 1), (alpha_pfaffian, (q01, q10), 2),
-                                 (exactnum.det, (skew,), 1), (mat_mul, (skew, skew), 2)):
+    calls = boundary_calls(monkeypatch)
+    for routine, args in ((pfaffian, (skew,)), (alpha_pfaffian, (q01, q10)),
+                          (exactnum.det, (skew,)), (mat_mul, (skew, sym)), (inertia, (sym,))):
         calls.clear()
         routine(*args)
-        assert len(calls) == count, routine.__name__
+        assert [name for name, _ in calls] == ["_integer_rows"] * len(args), routine.__name__
+        assert all(rows is arg for (_, rows), arg in zip(calls, args)), routine.__name__

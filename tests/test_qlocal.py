@@ -312,6 +312,18 @@ def test_localization_sum_property(nr, t, seed):
     assert localization_sum(r, n, a, t) == gaussian_binomials(n, t)[r]
 
 
+def test_params_and_sizes_refuse_bools():
+    # True is not the number 1 here: validate_params would read [True, 2]
+    # as (1, 2), and gaussian_binomials(True, 2) as the n = 1 row [1, 1]
+    with pytest.raises(TypeError, match="^boolean input rejected: True is not a number$"):
+        validate_params([True, 2])
+    with pytest.raises(TypeError, match="^boolean input rejected: False is not a number$"):
+        gaussian_binomials(2, False)
+    for n in (True, False, 2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError, match="^n must be an int, got "):
+            gaussian_binomials(n, 2)
+
+
 def test_localization_sum_and_gaussian_binomial_errors():
     with pytest.raises(ValueError, match="n >= 0"):
         gaussian_binomials(-1, 2)

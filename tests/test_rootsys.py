@@ -311,6 +311,13 @@ def test_gl_and_osp_refuse_bool_parameters():
             build_root_system(family, *params)
 
 
+def test_d21a_refuses_a_bool_parameter():
+    # alpha = True would be read as 1 and build d21a at alpha = 1
+    for alpha in (True, False):
+        with pytest.raises(TypeError, match=f"^boolean input rejected: {alpha} is not a number$"):
+            build_root_system("d21a", alpha)
+
+
 INTEGER_ROUTE_FAMILIES = (
     [(fam, (m, n)) for fam in ("gl", "sl") for m in range(5) for n in range(5)]
     + [("osp", key) for key in ((1, 2), (2, 2), (3, 2), (4, 2), (4, 4), (5, 4),
